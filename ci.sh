@@ -32,13 +32,12 @@ need_fg() {
 }
 
 stage_build() {
-    # --workspace: the root manifest is also a package, so a bare build
-    # would skip fg-cli and the gates below would run a stale `fg`.
+    # --workspace names the set `default-members` already selects; it
+    # stays explicit so the gates below never run a stale `fg`.
     cargo build --release --workspace --offline
 }
 
 stage_test() {
-    cargo test -q --offline
     cargo test -q --workspace --offline
 }
 

@@ -301,14 +301,20 @@ mod tests {
 
     #[test]
     fn sum_paths_agree() {
+        // A fifty-element list literal nests fifty `cons` calls, deeper
+        // than a debug test thread's stack allows: run on a pool worker.
+        let pool = fg::pool::WorkerPool::new(1).unwrap();
         for n in [0, 1, 10, 50] {
-            let mono = monomorphic_sum(n);
-            system_f::typecheck(&mono).unwrap();
-            let mv = system_f::eval(&mono).unwrap();
-            assert_eq!(mv, system_f::Value::Int(sum_expected(n)));
-            let gen_src = generic_accumulate_program(n);
-            let gv = fg::run(&gen_src).unwrap();
-            assert_eq!(gv, mv, "n = {n}");
+            pool.run_one(move || {
+                let mono = monomorphic_sum(n);
+                system_f::typecheck(&mono).unwrap();
+                let mv = system_f::eval(&mono).unwrap();
+                assert_eq!(mv, system_f::Value::Int(sum_expected(n)));
+                let gen_src = generic_accumulate_program(n);
+                let gv = fg::run(&gen_src).unwrap();
+                assert_eq!(gv, mv, "n = {n}");
+            })
+            .unwrap_or_else(|panic| panic!("n = {n}: {panic}"));
         }
     }
 

@@ -127,14 +127,11 @@ mod tests {
 
     #[test]
     fn quick_suite_produces_a_well_formed_report() {
-        // The width-128 workload nests a few hundred binders; debug
-        // frames overflow the default 2 MiB test-thread stack, so run
-        // the suite on a worker sized like the CLI's.
-        let report = std::thread::Builder::new()
-            .stack_size(256 * 1024 * 1024)
-            .spawn(|| run_suite(true))
-            .expect("spawn bench worker")
-            .join()
+        // The parser still recurses once per declaration, and the
+        // width-128 program declares 256 of them: parse on a pool worker.
+        let pool = fg::pool::WorkerPool::new(1).expect("spawn bench worker");
+        let report = pool
+            .run_one(|| run_suite(true))
             .expect("suite does not panic");
         assert_eq!(report.harness, HARNESS);
         // Every planned benchmark reported, every measurement nonzero.

@@ -16,10 +16,13 @@
 
 use std::sync::Arc;
 
+use fg::pipeline::{
+    record_pool_stats, run_request, CachedRun, RunOutput, EXIT_CRASH, EXIT_DIAGNOSTIC,
+};
 use telemetry::trace::{self, Tracer};
 use telemetry::Metrics;
 
-use crate::{CachedRun, Flags, RunOutput, EXIT_CRASH, EXIT_DIAGNOSTIC};
+use crate::Flags;
 
 /// Compile-cache bound for one batch: enough for any realistic corpus,
 /// flushed wholesale if a pathological batch exceeds it.
@@ -97,7 +100,7 @@ pub fn run_batch(cmd: &str, paths: &[String], flags: &Flags) -> u8 {
                         };
                     }
                 }
-                let output = crate::run_request(&cmd, &path, &source, use_prelude, limits, &tracer);
+                let output = run_request(&cmd, &path, &source, use_prelude, limits, &tracer);
                 if use_cache {
                     cache.insert(key, (output.code, output.stdout.clone(), output.stderr.clone()));
                 }
@@ -126,7 +129,7 @@ pub fn run_batch(cmd: &str, paths: &[String], flags: &Flags) -> u8 {
             }
         }
     }
-    crate::record_pool_stats(&mut merged, pool.jobs(), &pool.stats(), &cache);
+    record_pool_stats(&mut merged, pool.jobs(), &pool.stats(), &cache);
 
     if flags.profile {
         eprint!("{}", merged.render_table());

@@ -39,7 +39,7 @@
 //! # Resource limits
 //!
 //! Every stage of the pipeline runs under a resource budget
-//! (`fg::limits`): `--fuel N` caps total work, `--max-depth N` caps
+//! (`fg::pipeline`): `--fuel N` caps total work, `--max-depth N` caps
 //! recursion, `--max-terms N` caps congruence nodes, `--max-dict-nodes N`
 //! caps dictionary-plan nodes, and `--timeout-ms N` sets a wall-clock
 //! deadline. `0` or `none` lifts a cap. The environment variables
@@ -71,31 +71,18 @@
 //! tracing on and prints, per instantiation site, the model-resolution
 //! decision tree and the proof chain of every same-type constraint.
 
-use std::fmt::Write as _;
 use std::io::Read;
 use std::process::ExitCode;
-use std::sync::Arc;
 
-use telemetry::limits::{Budget, Limits};
+use fg::pipeline::{RunOutput, EXIT_CRASH, EXIT_DIAGNOSTIC, EXIT_USAGE};
+use fg::pool::WorkerPool;
+use telemetry::limits::Limits;
 use telemetry::trace::Tracer;
 use telemetry::Metrics;
 
 mod batch;
-mod explain;
 mod repl;
 mod serve;
-
-/// Exit code: the program was rejected or failed at runtime.
-const EXIT_DIAGNOSTIC: u8 = 1;
-/// Exit code: the command line was malformed.
-const EXIT_USAGE: u8 = 2;
-/// Exit code: the pipeline itself crashed (caught panic).
-const EXIT_CRASH: u8 = 3;
-
-/// Stack size for per-file worker threads: the checker and evaluator
-/// recurse, and the budget's depth cap (not the OS stack) should be what
-/// bounds them.
-const WORKER_STACK: usize = 256 * 1024 * 1024;
 
 /// The full usage text, shared by `--help` (stdout, exit 0) and usage
 /// errors (stderr, exit 2).
@@ -312,13 +299,22 @@ fn real_main() -> u8 {
         return serve::rpc_main(&flags, &args[1..]);
     }
     if args.as_slice() == ["repl"] {
-        let stdin = std::io::stdin();
-        return match repl::run_repl(stdin.lock(), std::io::stdout(), flags.use_prelude, flags.limits()) {
-            Ok(()) => 0,
-            Err(e) => {
+        let (use_prelude, limits) = (flags.use_prelude, flags.limits());
+        let session = on_worker("repl", move || {
+            repl::run_repl(
+                std::io::stdin().lock(),
+                std::io::stdout(),
+                use_prelude,
+                limits,
+            )
+        });
+        return match session {
+            Ok(Ok(())) => 0,
+            Ok(Err(e)) => {
                 eprintln!("fg: io error: {e}");
                 EXIT_DIAGNOSTIC
             }
+            Err(code) => code,
         };
     }
     let Some((cmd, paths)) = args.split_first() else {
@@ -333,11 +329,11 @@ fn real_main() -> u8 {
     {
         return usage();
     }
-    // Batch mode: every file runs in an isolated worker thread, so one
+    // Every file runs on a pool worker under `catch_unwind`, so one
     // crashing input cannot take down the rest of the batch. The exit
     // code is the worst outcome seen. With `--jobs`, the files are
-    // dispatched onto a persistent work-stealing pool instead of one
-    // fresh thread per file.
+    // dispatched onto one work-stealing pool of that width; otherwise
+    // each runs on a one-worker pool of its own.
     if flags.jobs.is_some() {
         return batch::run_batch(cmd, paths, &flags);
     }
@@ -346,6 +342,24 @@ fn real_main() -> u8 {
         worst = worst.max(run_file(cmd, path, &flags));
     }
     worst
+}
+
+/// Runs `task` on a fresh one-worker pool, which gives it the pipeline's
+/// stack ([`fg::pool::WORKER_STACK`]) and catches its panics: a crash is
+/// reported against `what` and becomes [`EXIT_CRASH`].
+fn on_worker<T, F>(what: &str, task: F) -> Result<T, u8>
+where
+    T: Send + 'static,
+    F: FnOnce() -> T + Send + 'static,
+{
+    let pool = WorkerPool::new(1).map_err(|e| {
+        eprintln!("fg: cannot spawn worker pool: {e}");
+        EXIT_CRASH
+    })?;
+    pool.run_one(task).map_err(|msg| {
+        eprintln!("fg: internal error: {what}: pipeline crashed: {msg}");
+        EXIT_CRASH
+    })
 }
 
 /// `fg bench-json [--quick] [--out <path>]` — runs the benchmark suite
@@ -378,7 +392,10 @@ fn bench_json(args: &[String]) -> u8 {
         "fg: running benchmark suite ({} mode)...",
         if quick { "quick" } else { "full" }
     );
-    let report = bench::runner::run_suite(quick);
+    let report = match on_worker("bench-json", move || bench::runner::run_suite(quick)) {
+        Ok(report) => report,
+        Err(code) => return code,
+    };
     for e in &report.entries {
         eprintln!(
             "  {:<50} {:>12} ns/iter (n={})",
@@ -406,27 +423,7 @@ fn bench_json(args: &[String]) -> u8 {
     }
 }
 
-/// One request's buffered outcome: the exit code plus everything the
-/// pipeline would have printed. Buffering is what makes the pipeline
-/// reentrant — the pool prints batches in input order, the daemon ships
-/// output over the wire, and the compile cache replays it verbatim.
-struct RunOutput {
-    code: u8,
-    stdout: String,
-    stderr: String,
-    metrics: Metrics,
-}
-
-/// Extracts a human-readable message from a caught panic payload.
-fn panic_message(payload: &dyn std::any::Any) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_owned())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "unknown panic".to_owned())
-}
-
-/// Runs one file on a dedicated worker thread, translating a panic into
+/// Runs one file on a pool worker, translating a panic into
 /// [`EXIT_CRASH`] instead of aborting the batch.
 fn run_file(cmd: &str, path: &str, flags: &Flags) -> u8 {
     // `explain` always needs the event record; otherwise tracing is on
@@ -436,45 +433,33 @@ fn run_file(cmd: &str, path: &str, flags: &Flags) -> u8 {
     } else {
         Tracer::disabled()
     };
-    let outcome = std::thread::scope(|scope| {
-        let handle = std::thread::Builder::new()
-            .name(format!("fg-{cmd}"))
-            .stack_size(WORKER_STACK)
-            .spawn_scoped(scope, || load_and_run(cmd, path, flags, &tracer));
-        match handle {
-            Ok(h) => h.join(),
-            Err(e) => {
-                eprintln!("fg: cannot spawn worker thread: {e}");
-                Ok(RunOutput {
-                    code: EXIT_CRASH,
-                    stdout: String::new(),
-                    stderr: String::new(),
-                    metrics: Metrics::new(),
-                })
-            }
-        }
-    });
-    match outcome {
-        Ok(output) => {
-            print!("{}", output.stdout);
-            eprint!("{}", output.stderr);
-            let emitted = finish(flags, output.metrics, &tracer, cmd, path);
-            match (output.code, emitted) {
-                (0, Err(code)) => code,
-                (code, _) => code,
-            }
-        }
-        Err(payload) => {
-            let msg = panic_message(&*payload);
-            eprintln!("fg: internal error: {path}: pipeline crashed: {msg}");
-            EXIT_CRASH
-        }
+    let task = {
+        let (cmd, path, tracer) = (cmd.to_owned(), path.to_owned(), tracer.clone());
+        let (use_prelude, limits) = (flags.use_prelude, flags.limits());
+        move || load_and_run(&cmd, &path, use_prelude, limits, &tracer)
+    };
+    let output = match on_worker(path, task) {
+        Ok(output) => output,
+        Err(code) => return code,
+    };
+    print!("{}", output.stdout);
+    eprint!("{}", output.stderr);
+    let emitted = finish(flags, output.metrics, &tracer, cmd, path);
+    match (output.code, emitted) {
+        (0, Err(code)) => code,
+        (code, _) => code,
     }
 }
 
 /// Reads `path`, applies the prelude, and runs the pipeline, buffering
 /// all output.
-fn load_and_run(cmd: &str, path: &str, flags: &Flags, tracer: &Tracer) -> RunOutput {
+fn load_and_run(
+    cmd: &str,
+    path: &str,
+    use_prelude: bool,
+    limits: Limits,
+    tracer: &Tracer,
+) -> RunOutput {
     let source = match read_source(path) {
         Ok(s) => s,
         Err(e) => {
@@ -486,320 +471,7 @@ fn load_and_run(cmd: &str, path: &str, flags: &Flags, tracer: &Tracer) -> RunOut
             }
         }
     };
-    run_request(cmd, path, &source, flags.use_prelude, flags.limits(), tracer)
-}
-
-/// The reentrant pipeline entry point: parses, checks, and runs one
-/// program according to `cmd` under a fresh budget, emitting telemetry
-/// on success *and* failure paths. Shared by the sequential driver, the
-/// `--jobs` pool, and `fg serve`.
-fn run_request(
-    cmd: &str,
-    path: &str,
-    source: &str,
-    use_prelude: bool,
-    limits: Limits,
-    tracer: &Tracer,
-) -> RunOutput {
-    let mut metrics = Metrics::new();
-    metrics.set_command(cmd);
-    metrics.set_source(path);
-    let budget = Arc::new(Budget::new(limits));
-    let full = if use_prelude {
-        fg::stdlib::with_prelude(source)
-    } else {
-        source.to_owned()
-    };
-    let mut out = String::new();
-    let mut err = String::new();
-    let status = stages(cmd, path, &full, &budget, tracer, &mut metrics, &mut out, &mut err);
-    record_limits(&mut metrics, &budget, tracer);
-    RunOutput {
-        code: status.err().unwrap_or(0),
-        stdout: out,
-        stderr: err,
-        metrics,
-    }
-}
-
-/// The command pipeline proper: everything from parse to output. All
-/// output goes into the `out`/`err` buffers so the caller decides where
-/// it lands (terminal, batch slot, RPC response, cache entry).
-#[allow(clippy::too_many_arguments)]
-fn stages(
-    cmd: &str,
-    path: &str,
-    full: &str,
-    budget: &Arc<Budget>,
-    tracer: &Tracer,
-    metrics: &mut Metrics,
-    out: &mut String,
-    err: &mut String,
-) -> Result<(), u8> {
-    let sp = tracer.begin("parse", vec![("source", path.into())]);
-    let parsed = metrics.phase("parse", || {
-        fg::parser::parse_expr_budgeted(full, budget.clone())
-    });
-    tracer.end(sp);
-    let expr = match parsed {
-        Ok(e) => e,
-        Err(e) => {
-            let _ = writeln!(err, "fg: parse error: {e}");
-            return Err(EXIT_DIAGNOSTIC);
-        }
-    };
-
-    if cmd == "ast" {
-        let _ = writeln!(out, "{expr:#?}");
-        return Ok(());
-    }
-    if cmd == "fmt" {
-        let _ = write!(out, "{}", fg::format::format_program(&expr));
-        return Ok(());
-    }
-    let sp = tracer.begin("check", vec![("source", path.into())]);
-    // A large Err variant is fine here: this runs once per invocation.
-    #[allow(clippy::result_large_err)]
-    let checked = metrics.phase("check_translate", || {
-        fg::check::check_program_budgeted(&expr, tracer.clone(), budget.clone())
-    });
-    tracer.end(sp);
-    let compiled = match checked {
-        Ok(c) => c,
-        Err(e) => {
-            let _ = writeln!(err, "fg: {}", e.render(full));
-            return Err(EXIT_DIAGNOSTIC);
-        }
-    };
-    record_check_stats(metrics, &compiled);
-
-    match cmd {
-        "check" => {
-            let _ = writeln!(out, "{}", compiled.ty);
-            Ok(())
-        }
-        "explain" => {
-            let _ = write!(out, "{}", explain::render(&tracer.events(), full));
-            Ok(())
-        }
-        "elaborate" => {
-            let _ = writeln!(out, "{}", compiled.elaborated);
-            Ok(())
-        }
-        "direct" => {
-            let sp = tracer.begin("direct_eval", Vec::new());
-            let outcome = metrics.phase("direct_eval", || {
-                fg::interp::run_direct_budgeted(&compiled.elaborated, tracer.clone(), budget.clone())
-            });
-            tracer.end(sp);
-            match outcome {
-                Ok((v, stats)) => {
-                    record_eval_stats(metrics, &stats);
-                    let _ = writeln!(out, "{v}");
-                    Ok(())
-                }
-                Err(e) => {
-                    let _ = writeln!(err, "fg: runtime error: {e}");
-                    Err(EXIT_DIAGNOSTIC)
-                }
-            }
-        }
-        "translate" => {
-            let _ = writeln!(out, "{}", compiled.term);
-            Ok(())
-        }
-        "bytecode" => {
-            let outcome = metrics.phase("vm_compile", || system_f::vm::compile(&compiled.term));
-            match outcome {
-                Ok(p) => {
-                    let _ = write!(out, "{p}");
-                    Ok(())
-                }
-                Err(e) => {
-                    let _ = writeln!(err, "fg: compile error: {e}");
-                    Err(EXIT_DIAGNOSTIC)
-                }
-            }
-        }
-        "vm" => {
-            let sp = tracer.begin("vm_compile", Vec::new());
-            let program = metrics.phase("vm_compile", || system_f::vm::compile(&compiled.term));
-            tracer.end(sp);
-            match program {
-                Ok(p) => {
-                    let sp = tracer.begin("vm_run", Vec::new());
-                    let outcome = metrics.phase("vm_run", || {
-                        system_f::vm::run_profiled_budgeted(&p, budget)
-                    });
-                    tracer.end(sp);
-                    match outcome {
-                        Ok((v, stats)) => {
-                            record_vm_stats(metrics, &stats);
-                            let _ = writeln!(out, "{v}");
-                            Ok(())
-                        }
-                        Err(e) => {
-                            let _ = writeln!(err, "fg: vm error: {e}");
-                            Err(EXIT_DIAGNOSTIC)
-                        }
-                    }
-                }
-                Err(e) => {
-                    let _ = writeln!(err, "fg: compile error: {e}");
-                    Err(EXIT_DIAGNOSTIC)
-                }
-            }
-        }
-        "run" => {
-            let sp = tracer.begin("sf_typecheck", Vec::new());
-            let well_typed = metrics.phase("sf_typecheck", || system_f::typecheck(&compiled.term));
-            tracer.end(sp);
-            if let Err(e) = well_typed {
-                let _ = writeln!(err, "fg: internal error: translation is ill-typed: {e}");
-                return Err(EXIT_DIAGNOSTIC);
-            }
-            let sp = tracer.begin("sf_eval", Vec::new());
-            let outcome = metrics.phase("sf_eval", || system_f::eval_budgeted(&compiled.term, budget));
-            tracer.end(sp);
-            match outcome {
-                Ok(v) => {
-                    let _ = writeln!(out, "{v}");
-                    Ok(())
-                }
-                Err(e) => {
-                    let _ = writeln!(err, "fg: runtime error: {e}");
-                    Err(EXIT_DIAGNOSTIC)
-                }
-            }
-        }
-        other => {
-            let _ = writeln!(err, "fg: unknown command `{other}`");
-            Err(EXIT_USAGE)
-        }
-    }
-}
-
-/// The checker's counters: scoped model lookup plus dictionary
-/// construction (the `check` group) and congruence-closure work (the
-/// `congruence` group).
-fn record_check_stats(metrics: &mut Metrics, compiled: &fg::Compiled) {
-    let cs = compiled.check_stats;
-    for (key, value) in [
-        ("model_lookups", cs.model_lookups),
-        ("model_hits", cs.model_hits),
-        ("model_misses", cs.model_misses),
-        ("candidates_scanned", cs.candidates_scanned),
-        ("max_scope_depth", cs.max_scope_depth),
-        ("dicts_built", cs.dicts_built),
-        ("dict_instantiations", cs.dict_instantiations),
-    ] {
-        metrics.set_counter("check", key, value);
-    }
-    let is = compiled.intern_stats;
-    for (key, value) in [
-        ("hits", is.hits),
-        ("misses", is.misses),
-        ("subst_hits", is.subst_hits),
-        ("subst_misses", is.subst_misses),
-        ("arena_types", is.arena_types),
-        ("arena_constraints", is.arena_constraints),
-    ] {
-        metrics.set_counter("intern", key, value);
-    }
-    let ts = compiled.type_eq_stats;
-    for (key, value) in [
-        ("eq_queries", ts.eq_queries),
-        ("assertions", ts.assertions),
-        ("resolves", ts.resolves),
-        ("merges", ts.merges),
-        ("unions", ts.unions),
-        ("finds", ts.finds),
-        ("terms", ts.terms),
-        ("term_bank_peak", ts.term_bank_peak),
-    ] {
-        metrics.set_counter("congruence", key, value);
-    }
-}
-
-/// The direct interpreter's runtime counters (the `direct_eval` group).
-fn record_eval_stats(metrics: &mut Metrics, stats: &fg::interp::EvalStats) {
-    for (key, value) in [
-        ("eval_steps", stats.eval_steps),
-        ("model_lookups", stats.model_lookups),
-        ("model_hits", stats.model_hits),
-        ("model_misses", stats.model_misses),
-        ("candidates_scanned", stats.candidates_scanned),
-        ("max_scope_depth", stats.max_scope_depth),
-        ("dicts_built", stats.dicts_built),
-        ("dict_instantiations", stats.dict_instantiations),
-    ] {
-        metrics.set_counter("direct_eval", key, value);
-    }
-}
-
-/// The VM's per-opcode dispatch counts and stack gauges (the
-/// `vm_dispatch` group).
-fn record_vm_stats(metrics: &mut Metrics, stats: &system_f::vm::VmStats) {
-    metrics.set_counter("vm_dispatch", "instructions", stats.instructions());
-    for &(name, count) in &stats.by_opcode {
-        metrics.set_counter("vm_dispatch", name, count);
-    }
-    metrics.set_counter("vm_dispatch", "max_frame_depth", stats.max_frame_depth);
-    metrics.set_counter("vm_dispatch", "max_stack_depth", stats.max_stack_depth);
-}
-
-/// The budget's consumption gauges (the `limits` group), plus a
-/// `budget_exhausted` trace instant if a cap tripped.
-fn record_limits(metrics: &mut Metrics, budget: &Budget, tracer: &Tracer) {
-    for (key, value) in [
-        ("fuel_spent", budget.fuel_spent()),
-        ("depth_peak", budget.depth_peak()),
-        ("cc_terms", budget.cc_terms()),
-        ("dict_nodes", budget.dict_nodes()),
-        ("elapsed_ms", budget.elapsed_ms()),
-    ] {
-        metrics.set_counter("limits", key, value);
-    }
-    if let Some(x) = budget.exhausted() {
-        metrics.set_counter("limits", "exhausted", 1);
-        tracer.instant(
-            "budget_exhausted",
-            vec![
-                ("resource", x.resource.as_str().into()),
-                ("limit", x.limit.into()),
-            ],
-        );
-    }
-}
-
-/// A cached request outcome: exit code plus the buffered streams. The
-/// value a [`fg::pool::CompileCache`] replays on a hit.
-type CachedRun = (u8, String, String);
-
-/// The pool's dispatch and cache counters (the `pool` counter group),
-/// merged into the batch report and served by the daemon's `stats`
-/// method.
-fn record_pool_stats(
-    metrics: &mut Metrics,
-    workers: usize,
-    stats: &fg::pool::PoolStats,
-    cache: &fg::pool::CompileCache<CachedRun>,
-) {
-    for (key, value) in [
-        ("workers", workers as u64),
-        ("jobs", stats.jobs),
-        ("steals", stats.steals),
-        ("queue_depth_peak", stats.queue_depth_peak),
-        ("panics", stats.panics),
-        ("cache_hits", cache.hits()),
-        ("cache_misses", cache.misses()),
-        ("cache_entries", cache.len() as u64),
-    ] {
-        metrics.set_counter("pool", key, value);
-    }
-    for (id, ns) in stats.worker_busy_ns.iter().enumerate() {
-        metrics.set_counter("pool", &format!("worker{id}_busy_ns"), *ns);
-    }
+    fg::pipeline::run_request(cmd, path, &source, use_prelude, limits, tracer)
 }
 
 /// Emits the collected telemetry as requested by the flags.

@@ -13,7 +13,7 @@ use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use telemetry::limits::{Budget, Limits};
+use fg::pipeline::{Budget, Limits, PipelineError};
 
 /// The accumulated REPL session state.
 pub struct Repl {
@@ -58,10 +58,10 @@ impl Repl {
 
     fn compile_with(&self, body: &str, budget: &Arc<Budget>) -> Result<fg::Compiled, String> {
         let src = self.program(body);
-        let expr = fg::parser::parse_expr_budgeted(&src, budget.clone())
-            .map_err(|e| format!("parse error: {e}"))?;
-        fg::check::check_program_budgeted(&expr, telemetry::trace::Tracer::disabled(), budget.clone())
-            .map_err(|e| e.render(&src))
+        fg::pipeline::compile(&src, budget).map_err(|e| match e {
+            PipelineError::Check(e) => e.render(&src),
+            e => e.to_string(),
+        })
     }
 
     fn compile(&self, body: &str) -> Result<fg::Compiled, String> {

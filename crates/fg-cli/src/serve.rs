@@ -44,11 +44,12 @@ use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
+use fg::pipeline::{record_pool_stats, run_request, CachedRun, EXIT_CRASH, EXIT_DIAGNOSTIC};
 use telemetry::json::{self, Json};
 use telemetry::trace::Tracer;
 use telemetry::Metrics;
 
-use crate::{CachedRun, Flags, EXIT_CRASH, EXIT_DIAGNOSTIC};
+use crate::Flags;
 
 /// Compile-cache bound for the daemon (epoch-flushed when exceeded).
 const CACHE_CAPACITY: usize = 4096;
@@ -180,7 +181,7 @@ fn handle_request(line: &str, daemon: &Daemon) -> (String, bool) {
             let mut metrics = Metrics::new();
             metrics.set_command("serve");
             metrics.set_source("<daemon>");
-            crate::record_pool_stats(
+            record_pool_stats(
                 &mut metrics,
                 daemon.pool.jobs(),
                 &daemon.pool.stats(),
@@ -235,7 +236,7 @@ fn pipeline_response(id: i64, method: &str, source: &str, prelude: bool, daemon:
         } else {
             Tracer::disabled()
         };
-        let output = crate::run_request(
+        let output = run_request(
             &method_owned,
             "<rpc>",
             &source_owned,

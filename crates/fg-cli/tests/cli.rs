@@ -404,6 +404,32 @@ fn injected_panic_is_caught_with_a_crash_exit_code() {
     );
 }
 
+/// A checker panic is a crash (exit 3) whatever the program's size: a
+/// library-sized `--prelude` program is checked on the same thread as a
+/// small one, so its panic is caught by the same boundary.
+#[test]
+fn injected_check_panic_exits_3_with_and_without_the_prelude() {
+    let file = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/fig5_accumulate.fg"
+    );
+    for prelude in [false, true] {
+        let mut args = vec!["--inject-fault", "check.expr@1:panic", "check", file];
+        if prelude {
+            args.insert(0, "--prelude");
+        }
+        let (_, stderr, code) = run_fg_code(&args, "");
+        assert_eq!(
+            code, 3,
+            "prelude={prelude}: caught crash must exit 3: {stderr}"
+        );
+        assert!(
+            stderr.contains("pipeline crashed") && stderr.contains("injected fault panic"),
+            "prelude={prelude}: crash not reported: {stderr}"
+        );
+    }
+}
+
 /// Batch mode keeps serving after a crashing file and reports the worst
 /// exit code across the batch.
 #[test]

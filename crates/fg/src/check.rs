@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use system_f::{Prim, Symbol, Term};
 use telemetry::fault::{self, FaultMode};
-use telemetry::limits::{Budget, Exhausted, Resource};
+use telemetry::limits::{Budget, DepthGuard, Exhausted, Resource};
 use telemetry::trace::{SpanId, Tracer};
 
 use crate::ast::{ConceptDecl, ConceptItem, Constraint, Expr, ExprKind, FgTy, ModelDecl, ModelItem};
@@ -127,248 +127,46 @@ impl CheckStats {
 /// # Ok::<(), fg::CheckError>(())
 /// ```
 pub fn check_program(e: &Expr) -> Result<Compiled, CheckError> {
-    check_program_traced(e, Tracer::disabled())
+    check_program_budgeted(e, Tracer::disabled(), Arc::default())
 }
 
-/// [`check_program`] with a trace sink attached: the checker reports
-/// model-resolution decisions, dictionary construction, where-clause
-/// discharge, and congruence unions to `tracer` (see the `telemetry`
-/// crate's `trace` module for the event model). With a disabled tracer
-/// this is exactly `check_program`.
-pub fn check_program_traced(e: &Expr, tracer: Tracer) -> Result<Compiled, CheckError> {
-    check_program_budgeted(e, tracer, Arc::default())
-}
-
-/// [`check_program_traced`] with a shared resource budget: the checker
-/// charges fuel per expression node, bounds its recursion depth, and
-/// charges the budget for every congruence node and dictionary-plan node
-/// it creates. When any limit trips, checking stops with a structured
-/// [`ErrorKind::ResourceExhausted`] error instead of looping or
-/// overflowing the stack.
+/// [`check_program`] with a trace sink and a shared resource budget.
+///
+/// The checker reports model-resolution decisions, dictionary
+/// construction, where-clause discharge, and congruence unions to
+/// `tracer` (see the `telemetry` crate's `trace` module for the event
+/// model). It charges `budget` fuel per expression node, bounds its
+/// recursion depth, and charges it for every congruence node and
+/// dictionary-plan node it creates. When any limit trips, checking stops
+/// with a structured [`ErrorKind::ResourceExhausted`] error instead of
+/// looping or overflowing the stack.
+///
+/// Checking runs on the caller's thread. The declaration spine (the
+/// bodies of `concept`, `model`, `let` and `type` declarations) is walked
+/// in a loop, so the stack grows only with the nesting of the other
+/// expressions, which the depth budget bounds (DESIGN.md §11).
 pub fn check_program_budgeted(
     e: &Expr,
     tracer: Tracer,
     budget: Arc<Budget>,
 ) -> Result<Compiled, CheckError> {
-    // The checker recurses once per nested expression; library-sized
-    // programs (a prelude is a single deeply right-nested expression)
-    // exceed small default thread stacks. Shallow programs check inline;
-    // deep ones get a dedicated big-stack thread. The tracer handle is
-    // shared, so the record is seamless across the thread boundary.
-    // 24 leaves ample headroom on a default 2 MiB thread even for the
-    // checker's fattest debug-build frames (budget guard + fault probe
-    // included).
-    if !depth_exceeds(e, 24) {
-        let mut checker = Checker::new();
-        checker.set_tracer(tracer);
-        checker.set_budget(budget);
-        let (ty, term, elaborated) = checker.check_elab(e)?;
-        return Ok(compiled(checker, ty, term, elaborated));
-    }
-    // Deep programs need the big stack. Shipping each check to the
-    // persistent worker beats spawning a thread per call twice over:
-    // the spawn itself costs tens of microseconds, and a freshly
-    // spawned thread runs the whole check on cold stack pages and a
-    // cold malloc arena (~2× slower end to end on declaration-heavy
-    // programs). The worker is busy only when another thread is deep-
-    // checking concurrently; then we pay for a dedicated thread as
-    // before.
-    if let Some(result) = check_on_deep_worker(e, &tracer, &budget) {
-        return result;
-    }
-    std::thread::scope(|scope| {
-        let tracer = tracer.clone();
-        let budget = budget.clone();
-        let handle = std::thread::Builder::new()
-            .name("fg-checker".to_owned())
-            .stack_size(CHECKER_STACK_BYTES)
-            .spawn_scoped(scope, move || {
-                let mut checker = Checker::new();
-                checker.set_tracer(tracer);
-                checker.set_budget(budget);
-                let (ty, term, elaborated) = checker.check_elab(e)?;
-                Ok(compiled(checker, ty, term, elaborated))
-            })
-            .map_err(|e| {
-                CheckError::new(
-                    ErrorKind::Internal(format!("failed to spawn checker thread: {e}")),
-                    Span::default(),
-                )
-            })?;
-        handle.join().unwrap_or_else(|payload| Err(panic_to_error(&payload)))
-    })
-}
-
-/// Stack reserve for deep-program checking (the checker recurses once
-/// per nested expression; library-sized programs are a single deeply
-/// right-nested expression).
-const CHECKER_STACK_BYTES: usize = 64 * 1024 * 1024;
-
-/// A unit of work shipped to the persistent deep-checker thread: the
-/// (owned) inputs of one check plus the channel the worker answers on.
-/// The answer is double-wrapped so a checker panic comes back as a
-/// payload rather than killing the worker.
-struct DeepJob {
-    e: Expr,
-    tracer: Tracer,
-    budget: Arc<Budget>,
-    done: std::sync::mpsc::SyncSender<std::thread::Result<Result<Compiled, CheckError>>>,
-}
-
-/// The persistent big-stack worker, spawned on first use. `None` when
-/// the spawn failed (callers fall back to a per-check thread). The
-/// mutex serializes submissions; concurrent deep checks skip the worker
-/// via `try_lock` rather than queue behind it.
-fn deep_worker() -> Option<&'static std::sync::Mutex<std::sync::mpsc::Sender<DeepJob>>> {
-    use std::sync::{mpsc, Mutex, OnceLock};
-    static WORKER: OnceLock<Option<Mutex<mpsc::Sender<DeepJob>>>> = OnceLock::new();
-    WORKER
-        .get_or_init(|| {
-            let (tx, rx) = mpsc::channel::<DeepJob>();
-            std::thread::Builder::new()
-                .name("fg-checker".to_owned())
-                .stack_size(CHECKER_STACK_BYTES)
-                .spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        let DeepJob { e, tracer, budget, done } = job;
-                        let outcome =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                                let mut checker = Checker::new();
-                                checker.set_tracer(tracer);
-                                checker.set_budget(budget);
-                                checker.check_elab(&e).map(|(ty, term, elaborated)| {
-                                    compiled(checker, ty, term, elaborated)
-                                })
-                            }));
-                        let _ = done.send(outcome);
-                    }
-                })
-                .ok()
-                .map(|_| Mutex::new(tx))
-        })
-        .as_ref()
-}
-
-/// Runs a deep check on the persistent worker thread. Returns `None`
-/// when the worker is unavailable (spawn failed, lock poisoned, or
-/// another thread is mid-check) — the caller then uses a dedicated
-/// thread instead.
-fn check_on_deep_worker(
-    e: &Expr,
-    tracer: &Tracer,
-    budget: &Arc<Budget>,
-) -> Option<Result<Compiled, CheckError>> {
-    let worker = deep_worker()?;
-    let Ok(tx) = worker.try_lock() else {
-        return None;
-    };
-    let (done_tx, done_rx) = std::sync::mpsc::sync_channel(1);
-    let job = DeepJob {
-        e: e.clone(),
-        tracer: tracer.clone(),
-        budget: budget.clone(),
-        done: done_tx,
-    };
-    if tx.send(job).is_err() {
-        // Worker thread is gone; fall back to a dedicated thread.
-        return None;
-    }
-    let outcome = done_rx.recv();
-    drop(tx);
-    match outcome {
-        Ok(Ok(result)) => Some(result),
-        Ok(Err(payload)) => Some(Err(panic_to_error(&*payload))),
-        // Disconnected without an answer: the worker died before
-        // answering; re-check on a dedicated thread.
-        Err(_) => None,
-    }
-}
-
-/// Wraps a budget-exhaustion record as a spanned check error.
-fn exhausted_err(x: Exhausted, phase: &'static str, span: Span) -> CheckError {
-    CheckError::new(ErrorKind::ResourceExhausted { exhausted: x, phase }, span)
-}
-
-fn compiled(checker: Checker, ty: RTy, term: Term, elaborated: Expr) -> Compiled {
-    Compiled {
+    let mut checker = Checker::new();
+    checker.set_tracer(tracer);
+    checker.set_budget(budget);
+    let (ty, term, elaborated) = checker.check_elab(e)?;
+    Ok(Compiled {
         ty,
         term,
         elaborated,
         check_stats: checker.stats(),
         type_eq_stats: checker.type_eq_stats(),
         intern_stats: checker.intern_stats(),
-    }
+    })
 }
 
-/// Converts a checker-thread panic payload into a structured
-/// [`CheckError`] instead of re-panicking in the caller.
-pub(crate) fn panic_to_error(payload: &(dyn std::any::Any + Send)) -> CheckError {
-    let msg = payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_owned())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "checker thread panicked".to_owned());
-    CheckError::new(
-        ErrorKind::Internal(format!("checker thread panicked: {msg}")),
-        Span::default(),
-    )
-}
-
-/// Returns `true` if the expression tree is deeper than `limit`
-/// (iterative, early-exiting depth probe).
-fn depth_exceeds(e: &Expr, limit: usize) -> bool {
-    let mut stack: Vec<(&Expr, usize)> = vec![(e, 0)];
-    while let Some((e, d)) = stack.pop() {
-        if d > limit {
-            return true;
-        }
-        let d = d + 1;
-        match &e.kind {
-            ExprKind::Var(_)
-            | ExprKind::IntLit(_)
-            | ExprKind::BoolLit(_)
-            | ExprKind::Prim(_)
-            | ExprKind::MemberAccess { .. } => {}
-            ExprKind::App(f, args) => {
-                stack.push((f, d));
-                stack.extend(args.iter().map(|a| (a, d)));
-            }
-            ExprKind::Lam(_, b)
-            | ExprKind::TyAbs { body: b, .. }
-            | ExprKind::TyApp(b, _)
-            | ExprKind::Fix(_, _, b)
-            | ExprKind::TypeAlias(_, _, b) => stack.push((b, d)),
-            ExprKind::Let(_, a, b) => {
-                stack.push((a, d));
-                stack.push((b, d));
-            }
-            ExprKind::If(c, t, f) => {
-                stack.push((c, d));
-                stack.push((t, d));
-                stack.push((f, d));
-            }
-            ExprKind::Concept(decl, b) => {
-                for item in &decl.items {
-                    if let crate::ast::ConceptItem::Member {
-                        default: Some(def), ..
-                    } = item
-                    {
-                        stack.push((def, d));
-                    }
-                }
-                stack.push((b, d));
-            }
-            ExprKind::Model(decl, b) => {
-                for item in &decl.items {
-                    if let ModelItem::Member(_, me) = item {
-                        stack.push((me, d));
-                    }
-                }
-                stack.push((b, d));
-            }
-        }
-    }
-    false
+/// Wraps a budget-exhaustion record as a spanned check error.
+fn exhausted_err(x: Exhausted, phase: &'static str, span: Span) -> CheckError {
+    CheckError::new(ErrorKind::ResourceExhausted { exhausted: x, phase }, span)
 }
 
 /// A model in scope: where its dictionary lives in the translation, and
@@ -485,6 +283,45 @@ struct Saved {
     concept_names: usize,
     models: usize,
     teq: TypeEq,
+}
+
+/// A declaration whose body is being checked: what
+/// [`Checker::leave_decl`] needs to take it out of scope again and to
+/// wrap the body's result.
+enum DeclFrame<'e> {
+    Let {
+        x: Symbol,
+        bterm: Term,
+        belab: Expr,
+        span: Span,
+    },
+    Concept {
+        decl: &'e ConceptDecl,
+        span: Span,
+    },
+    Model {
+        decl: &'e ModelDecl,
+        /// The open `dict_build` trace span.
+        sp: SpanId,
+        model: Box<ModelFrame>,
+    },
+    Alias {
+        name: Symbol,
+        ty: &'e FgTy,
+        /// The type scope's length before the alias.
+        n: usize,
+        span: Span,
+    },
+}
+
+/// A model declaration's state between its enter and leave halves.
+struct ModelFrame {
+    /// The scope to restore when the body is done.
+    saved: Saved,
+    dict_name: Symbol,
+    dict_value: Term,
+    /// Elaborated member bodies, for rebuilding the declaration.
+    elab_members: Vec<(Symbol, Expr)>,
 }
 
 /// Everything [`Checker::enter_where`] sets up for a constrained scope.
@@ -1915,28 +1752,183 @@ impl Checker {
     /// and the *elaborated* surface expression — the input with implicit
     /// instantiations made explicit (every inferred `e[τ̄]` inserted), so
     /// the direct interpreter can execute exactly what was typechecked.
+    ///
+    /// The declaration spine is walked in a loop: each declaration's enter
+    /// half runs on the way down and its leave half on the way back up,
+    /// in the order the recursive rules prescribe, so fuel, depth, fault
+    /// numbering and trace events are those of the recursive reading.
     pub fn check_elab(&mut self, e: &Expr) -> Result<(RTy, Term, Expr), CheckError> {
         let budget = self.budget.clone();
+        let mut frames: Vec<(DepthGuard<'_>, DeclFrame<'_>)> = Vec::new();
+        let mut cur = e;
+        let mut result = loop {
+            let guard = match self.enter_node(&budget, cur) {
+                Ok(guard) => guard,
+                Err(err) => break Err(err),
+            };
+            match self.enter_decl(cur) {
+                Ok(Some((frame, body))) => {
+                    frames.push((guard, frame));
+                    cur = body;
+                }
+                Ok(None) => break self.check_elab_rec(cur),
+                Err(err) => break Err(err),
+            }
+        };
+        while let Some((_guard, frame)) = frames.pop() {
+            result = self.leave_decl(frame, result);
+        }
+        result
+    }
+
+    /// The per-node prologue: one unit of fuel, one level of depth, and
+    /// the `check.expr` fault point.
+    fn enter_node<'b>(&self, budget: &'b Budget, e: &Expr) -> Result<DepthGuard<'b>, CheckError> {
         budget
             .charge_fuel(1)
             .map_err(|x| exhausted_err(x, "check", e.span))?;
-        let _depth = budget.enter().map_err(|x| exhausted_err(x, "check", e.span))?;
+        let depth = budget
+            .enter()
+            .map_err(|x| exhausted_err(x, "check", e.span))?;
         match fault::hit("check.expr") {
-            None => {}
+            None => Ok(depth),
             Some(FaultMode::Error) => {
                 budget.trip(Resource::Injected, 0);
-                return Err(exhausted_err(
+                Err(exhausted_err(
                     Exhausted {
                         resource: Resource::Injected,
                         limit: 0,
                     },
                     "check",
                     e.span,
-                ));
+                ))
             }
             Some(FaultMode::Panic) => panic!("injected fault panic at check.expr"),
         }
-        self.check_elab_rec(e)
+    }
+
+    /// The enter half of a declaration: checks everything but the body,
+    /// brings the declaration into scope, and returns the frame its leave
+    /// half needs together with the body. `None` for any other node.
+    fn enter_decl<'e>(
+        &mut self,
+        e: &'e Expr,
+    ) -> Result<Option<(DeclFrame<'e>, &'e Expr)>, CheckError> {
+        let span = e.span;
+        let frame = match &e.kind {
+            ExprKind::Let(x, bound, body) => {
+                let (bty, bterm, belab) = self.check_elab(bound)?;
+                self.vars.push((*x, bty));
+                (
+                    DeclFrame::Let {
+                        x: *x,
+                        bterm,
+                        belab,
+                        span,
+                    },
+                    &**body,
+                )
+            }
+            ExprKind::Concept(decl, body) => {
+                let cid = self.check_concept_decl(decl)?;
+                self.concept_names.push((decl.name, cid));
+                (DeclFrame::Concept { decl, span }, &**body)
+            }
+            ExprKind::Model(decl, body) => {
+                let sp = self.tracer.begin_with("dict_build", || {
+                    vec![
+                        ("concept", decl.concept.to_string().into()),
+                        ("parameterized", u64::from(!decl.params.is_empty()).into()),
+                        ("span_start", decl.span.start.into()),
+                        ("span_end", decl.span.end.into()),
+                    ]
+                });
+                match self.enter_model(decl) {
+                    Ok(model) => (
+                        DeclFrame::Model {
+                            decl,
+                            sp,
+                            model: Box::new(model),
+                        },
+                        &**body,
+                    ),
+                    Err(err) => {
+                        self.end_dict_build(sp, false);
+                        return Err(err);
+                    }
+                }
+            }
+            ExprKind::TypeAlias(name, ty, body) => {
+                // Aliases are fully transparent: occurrences expand at
+                // resolution time, so the alias name never appears in any
+                // type that escapes this scope.
+                let rhs = self.resolve_ty(ty, span)?;
+                let n = self.ty_vars.len();
+                self.ty_vars.push((*name, Some(rhs)));
+                (
+                    DeclFrame::Alias {
+                        name: *name,
+                        ty,
+                        n,
+                        span,
+                    },
+                    &**body,
+                )
+            }
+            _ => return Ok(None),
+        };
+        Ok(Some(frame))
+    }
+
+    /// The leave half of a declaration: takes it out of scope again and
+    /// wraps the body's result (or passes its error through).
+    fn leave_decl(
+        &mut self,
+        frame: DeclFrame<'_>,
+        body: Result<(RTy, Term, Expr), CheckError>,
+    ) -> Result<(RTy, Term, Expr), CheckError> {
+        match frame {
+            DeclFrame::Let {
+                x,
+                bterm,
+                belab,
+                span,
+            } => {
+                self.vars.pop();
+                let (ty, term, body_elab) = body?;
+                Ok((
+                    ty,
+                    Term::let_(x, bterm, term),
+                    Expr::spanned(ExprKind::Let(x, Box::new(belab), Box::new(body_elab)), span),
+                ))
+            }
+            DeclFrame::Concept { decl, span } => {
+                self.concept_names.pop();
+                let (ty, term, belab) = body?;
+                Ok((
+                    ty,
+                    term,
+                    Expr::spanned(
+                        ExprKind::Concept(Box::new(decl.clone()), Box::new(belab)),
+                        span,
+                    ),
+                ))
+            }
+            DeclFrame::Model { decl, sp, model } => {
+                let out = self.leave_model(decl, model, body);
+                self.end_dict_build(sp, out.is_ok());
+                out
+            }
+            DeclFrame::Alias { name, ty, n, span } => {
+                self.ty_vars.truncate(n);
+                let (rty, term, belab) = body?;
+                Ok((
+                    rty,
+                    term,
+                    Expr::spanned(ExprKind::TypeAlias(name, ty.clone(), Box::new(belab)), span),
+                ))
+            }
+        }
     }
 
     fn check_elab_rec(&mut self, e: &Expr) -> Result<(RTy, Term, Expr), CheckError> {
@@ -2178,21 +2170,6 @@ impl Checker {
                     ),
                 ))
             }
-            ExprKind::Let(x, bound, body) => {
-                let (bty, bterm, belab) = self.check_elab(bound)?;
-                self.vars.push((*x, bty));
-                let result = self.check_elab(body);
-                self.vars.pop();
-                let (ty, term, body_elab) = result?;
-                Ok((
-                    ty,
-                    Term::let_(*x, bterm, term),
-                    Expr::spanned(
-                        ExprKind::Let(*x, Box::new(belab), Box::new(body_elab)),
-                        span,
-                    ),
-                ))
-            }
             ExprKind::If(c, t, f) => {
                 let (cty, cterm, celab) = self.check_elab(c)?;
                 if !self.types_equal(&cty, &RTy::Bool) {
@@ -2237,41 +2214,10 @@ impl Checker {
                     ),
                 ))
             }
-            ExprKind::Concept(decl, body) => {
-                let cid = self.check_concept_decl(decl)?;
-                self.concept_names.push((decl.name, cid));
-                let result = self.check_elab(body);
-                self.concept_names.pop();
-                let (ty, term, belab) = result?;
-                Ok((
-                    ty,
-                    term,
-                    Expr::spanned(
-                        ExprKind::Concept(decl.clone(), Box::new(belab)),
-                        span,
-                    ),
-                ))
-            }
-            ExprKind::Model(decl, body) => self.check_model_decl(decl, body),
-            ExprKind::TypeAlias(name, ty, body) => {
-                // Aliases are fully transparent: occurrences expand at
-                // resolution time, so the alias name never appears in any
-                // type that escapes this scope.
-                let rhs = self.resolve_ty(ty, span)?;
-                let n = self.ty_vars.len();
-                self.ty_vars.push((*name, Some(rhs)));
-                let result = self.check_elab(body);
-                self.ty_vars.truncate(n);
-                let (rty, term, belab) = result?;
-                Ok((
-                    rty,
-                    term,
-                    Expr::spanned(
-                        ExprKind::TypeAlias(*name, ty.clone(), Box::new(belab)),
-                        span,
-                    ),
-                ))
-            }
+            ExprKind::Let(..)
+            | ExprKind::Concept(..)
+            | ExprKind::Model(..)
+            | ExprKind::TypeAlias(..) => unreachable!("check_elab walks declarations"),
             ExprKind::MemberAccess {
                 concept,
                 args,
@@ -2577,37 +2523,18 @@ impl Checker {
         result
     }
 
-    /// Checks a model declaration (the MDL rule) and its body.
-    fn check_model_decl(
-        &mut self,
-        decl: &ModelDecl,
-        body: &Expr,
-    ) -> Result<(RTy, Term, Expr), CheckError> {
-        let sp = self.tracer.begin_with("dict_build", || {
-            vec![
-                ("concept", decl.concept.to_string().into()),
-                ("parameterized", u64::from(!decl.params.is_empty()).into()),
-                ("span_start", decl.span.start.into()),
-                ("span_end", decl.span.end.into()),
-            ]
-        });
-        let out = self.check_model_decl_inner(decl, body);
+    /// Closes a model's `dict_build` span with its outcome.
+    fn end_dict_build(&self, sp: SpanId, ok: bool) {
         self.tracer.end_with(
             sp,
-            vec![(
-                "outcome",
-                if out.is_ok() { "ok" } else { "error" }.into(),
-            )],
+            vec![("outcome", if ok { "ok" } else { "error" }.into())],
         );
-        out
     }
 
+    /// The enter half of the MDL rule: checks the declaration, assembles
+    /// its dictionary, and brings the model into scope for the body.
     #[allow(clippy::redundant_closure_call)]
-    fn check_model_decl_inner(
-        &mut self,
-        decl: &ModelDecl,
-        body: &Expr,
-    ) -> Result<(RTy, Term, Expr), CheckError> {
+    fn enter_model(&mut self, decl: &ModelDecl) -> Result<ModelFrame, CheckError> {
         let span = decl.span;
         let cid = self
             .lookup_concept(decl.concept)
@@ -2899,34 +2826,53 @@ impl Checker {
         // their associated-type equalities (parameterized ones are handled
         // by normalization at lookup time), then register the entry.
         let saved = self.save();
-        let result = (|| {
-            if !parameterized {
-                for (n, t) in &assoc {
-                    let proj = RTy::Assoc {
-                        concept: cid,
-                        concept_name: decl.concept,
-                        args: args.clone(),
-                        name: *n,
-                    };
-                    self.teq.assert_eq(&proj, t);
-                }
+        if !parameterized {
+            for (n, t) in &assoc {
+                let proj = RTy::Assoc {
+                    concept: cid,
+                    concept_name: decl.concept,
+                    args: args.clone(),
+                    name: *n,
+                };
+                self.teq.assert_eq(&proj, t);
             }
-            self.push_model(ModelEntry {
-                concept: cid,
-                args: args.clone(),
-                dict: dict_name,
-                path: Vec::new(),
-                assoc: assoc.clone(),
-                under_construction: None,
-                params: decl.params.clone(),
-                constraints: rconstraints.clone(),
-                decl_span: span,
-                is_proxy: false,
-            });
-            self.check_elab(body)
-        })();
+        }
+        self.push_model(ModelEntry {
+            concept: cid,
+            args,
+            dict: dict_name,
+            path: Vec::new(),
+            assoc,
+            under_construction: None,
+            params: decl.params.clone(),
+            constraints: rconstraints,
+            decl_span: span,
+            is_proxy: false,
+        });
+        Ok(ModelFrame {
+            saved,
+            dict_name,
+            dict_value,
+            elab_members,
+        })
+    }
+
+    /// The leave half of the MDL rule: leaves the model's scope and wraps
+    /// the body in the dictionary binding.
+    fn leave_model(
+        &mut self,
+        decl: &ModelDecl,
+        model: Box<ModelFrame>,
+        body: Result<(RTy, Term, Expr), CheckError>,
+    ) -> Result<(RTy, Term, Expr), CheckError> {
+        let ModelFrame {
+            saved,
+            dict_name,
+            dict_value,
+            elab_members,
+        } = *model;
         self.restore(saved);
-        let (bty, bterm, belab) = result?;
+        let (bty, bterm, belab) = body?;
         // Rebuild the declaration with elaborated member bodies (defaults
         // stay in the concept and are elaborated per model at check time).
         let items = decl
@@ -2934,12 +2880,10 @@ impl Checker {
             .iter()
             .map(|item| match item {
                 ModelItem::AssocType(n, t) => ModelItem::AssocType(*n, t.clone()),
-                ModelItem::Member(n, orig) => {
-                    match elab_members.iter().find(|(m, _)| m == n) {
-                        Some((_, elab)) => ModelItem::Member(*n, elab.clone()),
-                        None => ModelItem::Member(*n, orig.clone()),
-                    }
-                }
+                ModelItem::Member(n, orig) => match elab_members.iter().find(|(m, _)| m == n) {
+                    Some((_, elab)) => ModelItem::Member(*n, elab.clone()),
+                    None => ModelItem::Member(*n, orig.clone()),
+                },
             })
             .collect();
         let elab_decl = ModelDecl {
@@ -2998,27 +2942,6 @@ fn distinct(names: &[Symbol], span: Span) -> Result<(), CheckError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn panic_payloads_become_internal_errors() {
-        // `check_program` converts a checker-thread panic into a
-        // structured `Internal` error instead of re-panicking the
-        // caller; both payload shapes `panic!` produces are handled.
-        let from_str: Box<dyn std::any::Any + Send> = Box::new("str payload");
-        let from_string: Box<dyn std::any::Any + Send> = Box::new("string payload".to_owned());
-        let from_other: Box<dyn std::any::Any + Send> = Box::new(17u32);
-        for (payload, needle) in [
-            (from_str, "str payload"),
-            (from_string, "string payload"),
-            (from_other, "checker thread panicked"),
-        ] {
-            let err = panic_to_error(&*payload);
-            assert!(
-                matches!(&err.kind, ErrorKind::Internal(msg) if msg.contains(needle)),
-                "{err}"
-            );
-        }
-    }
 
     #[test]
     fn stats_survive_scope_restore() {

@@ -214,14 +214,10 @@ pub enum ErrorKind {
         /// The undeterminable parameter.
         param: Symbol,
     },
-    /// The checker itself failed (a thread could not be spawned, or a
-    /// checker thread panicked). Always a bug or a resource-exhaustion
-    /// condition, never a property of the input program.
-    Internal(String),
     /// A configured resource budget (fuel, recursion depth, congruence
     /// nodes, dictionary nodes, or wall clock) was exhausted in some
-    /// pipeline phase. Unlike [`ErrorKind::Internal`], this is an
-    /// expected, recoverable outcome of running with limits.
+    /// pipeline phase: an expected, recoverable outcome of running with
+    /// limits.
     ResourceExhausted {
         /// Which budget tripped and at what limit.
         exhausted: telemetry::limits::Exhausted,
@@ -337,9 +333,6 @@ impl fmt::Display for ErrorKind {
                 "model parameter `{param}` does not occur in the arguments of `{concept}`, \
                  so it can never be determined at a use site"
             ),
-            ErrorKind::Internal(msg) => {
-                write!(f, "internal checker error: {msg}")
-            }
             ErrorKind::ResourceExhausted { exhausted, phase } => {
                 write!(f, "{exhausted} during {phase}; raise the limit or simplify the program")
             }

@@ -58,7 +58,7 @@
 //! | [`typeeq`] | congruence-closure type equality (§5.1) |
 //! | [`check`] | the typechecker and translation to System F (Figures 9, 13) |
 //! | [`interp`] | direct big-step interpreter (differential oracle) |
-//! | [`limits`] | resource budgets: governed, panic-free pipeline entry points |
+//! | [`pipeline`] | the governed pipeline: one entry point for the CLI, `--jobs`, `fg serve` and the REPL |
 //! | [`pool`] | persistent worker pool + compile cache for `--jobs`/`fg serve` |
 //! | [`pretty`] | pretty-printer for the surface syntax |
 //! | [`stdlib`] | an STL-flavoured concept library written in F_G |
@@ -79,8 +79,8 @@ pub mod format;
 pub mod graph;
 pub mod linalg;
 pub mod interp;
-pub mod limits;
 pub mod parser;
+pub mod pipeline;
 pub mod pool;
 pub mod pretty;
 pub mod rty;

@@ -18,16 +18,17 @@
 //! # Pool shape
 //!
 //! [`WorkerPool`] spawns a fixed set of persistent worker threads, each
-//! with the same 256 MiB stack the single-file CLI path uses (the
-//! checker and evaluators recurse; the [`telemetry::limits::Budget`]
-//! depth cap, not the OS stack, should bound them). Each worker owns a
-//! deque; a batch is distributed round-robin, owners pop LIFO from
-//! their own deque, and an idle worker *steals* FIFO from a sibling —
-//! cheap locality for balanced batches, automatic rebalancing for
-//! skewed ones. Every task runs under `catch_unwind`, so one crashing
-//! request is reported as an error result while the pool keeps serving
-//! — the PR-3 isolation contract, but amortized over a persistent pool
-//! instead of a thread spawn per file.
+//! with a [`WORKER_STACK`]-sized stack: every layer recurses on nested
+//! expressions, and the [`telemetry::limits::Budget`] depth cap, not
+//! the OS stack, should bound them. Every `fg` command runs its
+//! pipeline on a pool worker, so this is the one stack size in the
+//! system. Each worker owns a deque; a batch is distributed
+//! round-robin, owners pop LIFO from their own deque, and an idle
+//! worker *steals* FIFO from a sibling — cheap locality for balanced
+//! batches, automatic rebalancing for skewed ones. Every task runs
+//! under `catch_unwind`, so one crashing request is reported as an
+//! error result while the pool keeps serving — the exit-3 isolation
+//! contract, amortized over a persistent pool.
 //!
 //! [`PoolStats`] exposes the `pool.*` metrics group: jobs executed,
 //! steal count, peak queue depth, panics caught, and per-worker busy
@@ -49,7 +50,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// Worker stack size: same contract as the CLI's single-file worker.
+/// Worker stack size, large enough for every pipeline layer to reach
+/// the default depth cap ([`telemetry::limits::Limits::DEFAULT_CAPS`])
+/// before it reaches the end of the stack (DESIGN.md §11).
 pub const WORKER_STACK: usize = 256 * 1024 * 1024;
 
 /// A type-erased unit of work.

@@ -833,8 +833,8 @@ impl Store {
 ///
 /// Clones share the same arena (`Rc`), which is what lets every scope
 /// clone of the checker's equality engine keep its `TyId`s stable. The
-/// arena is deliberately `!Send`: a checker and its engines live on one
-/// thread (the big-stack worker spawns the checker *inside* the thread).
+/// arena is deliberately `!Send`: a checker and its engines live on the
+/// thread that called the checker.
 #[derive(Debug, Clone, Default)]
 pub struct TyInterner(Rc<RefCell<Store>>);
 

@@ -328,12 +328,11 @@ fn vm_runs_the_stress_programs() {
 
 // ------------------------------------------------- structured error paths
 //
-// The checker has no panicking paths left: deep programs (checked on a
-// dedicated thread), parameterized-model matching, and where-clause
-// proxies all report structured `CheckError`s.
+// The checker has no panicking paths left: deep programs,
+// parameterized-model matching, and where-clause proxies all report
+// structured `CheckError`s.
 
-/// A program nested deeper than the inline-checking threshold (40), so
-/// `check_program` routes it through the big-stack checker thread.
+/// A program whose `let` spine is sixty declarations deep.
 fn deep_program(leaf: &str) -> String {
     let mut src = String::new();
     for i in 0..60 {
@@ -344,9 +343,9 @@ fn deep_program(leaf: &str) -> String {
 }
 
 #[test]
-fn deep_ill_typed_program_reports_structured_error_across_thread() {
-    // The type error must cross the checker-thread boundary as a value,
-    // not as a panic (`check_program` used to `.expect()` the join).
+fn deep_ill_typed_program_reports_structured_error() {
+    // A type error deep in the declaration spine is returned as a value,
+    // not raised as a panic.
     let expr = parse_expr(&deep_program("missing_var")).expect("parse failed");
     #[allow(clippy::result_large_err)]
     let result = std::panic::catch_unwind(|| check_program(&expr))
@@ -356,7 +355,7 @@ fn deep_ill_typed_program_reports_structured_error_across_thread() {
 }
 
 #[test]
-fn deep_well_typed_program_checks_on_the_big_stack_thread() {
+fn deep_well_typed_program_checks() {
     let v = run_ok(&deep_program("iadd(x0, x59)"));
     assert_eq!(v, Value::Int(59));
 }

@@ -11,9 +11,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use std::sync::Arc;
 
-use fg::limits::{
-    compile_with_budget, run_budgeted, Budget, FaultPlan, Limits, PipelineError, Resource,
-};
+use fg::pipeline::{self, Budget, FaultPlan, Limits, PipelineError, Resource};
 use telemetry::fault::with_plan;
 
 const PROGRAM: &str = r#"
@@ -27,13 +25,13 @@ fn plan(spec: &str) -> FaultPlan {
 }
 
 /// Runs the translated lane end to end.
-fn run() -> Result<system_f::Value, fg::limits::PipelineError> {
-    run_budgeted(PROGRAM, Limits::UNLIMITED)
+fn run() -> Result<system_f::Value, PipelineError> {
+    pipeline::run(PROGRAM, Limits::UNLIMITED)
 }
 
 /// [`run`] against a caller-owned budget, so tests can inspect the latch.
 fn run_on(budget: &Arc<Budget>) -> Result<system_f::Value, PipelineError> {
-    compile_with_budget(PROGRAM, budget)
+    pipeline::compile(PROGRAM, budget)
         .and_then(|c| system_f::eval_budgeted(&c.term, budget).map_err(PipelineError::Eval))
 }
 
@@ -60,6 +58,18 @@ fn error_faults_surface_as_structured_diagnostics_at_every_point() {
 }
 
 #[test]
+fn scoped_plan_fires_on_a_library_sized_program() {
+    // A thread-scoped plan only sees the visits made on its own thread,
+    // so the check of a prelude program must run on the caller's thread.
+    let src = fg::stdlib::with_prelude("42");
+    let budget = Arc::new(Budget::unlimited());
+    let err = with_plan(plan("check.expr"), || pipeline::compile(&src, &budget))
+        .expect_err("the check.expr plan must fire");
+    assert_eq!(err.phase(), "check", "got {err}");
+    assert_eq!(budget.exhausted().unwrap().resource, Resource::Injected);
+}
+
+#[test]
 fn where_enter_fault_fires_on_constrained_generics() {
     // `check.where_enter` guards where-clause entry, so it needs a
     // constrained `biglam` to fire.
@@ -70,12 +80,12 @@ model C<int> { f = lam x: int. x; } in
 "#;
     let budget = Arc::new(Budget::unlimited());
     let err = with_plan(plan("check.where_enter"), || {
-        compile_with_budget(src, &budget)
+        pipeline::compile(src, &budget)
     })
     .expect_err("where_enter fault must fire");
     assert!(err.exhausted().is_some(), "got {err}");
     assert_eq!(budget.exhausted().unwrap().resource, Resource::Injected);
-    assert!(run_budgeted(src, Limits::UNLIMITED).is_ok());
+    assert!(pipeline::run(src, Limits::UNLIMITED).is_ok());
 }
 
 #[test]

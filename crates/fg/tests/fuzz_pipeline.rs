@@ -4,7 +4,7 @@
 //! through parse → check → translate → evaluate under a small resource
 //! budget, asserting that the pipeline (a) never panics and (b) always
 //! terminates within the budget — every outcome is `Ok` or a structured
-//! [`fg::limits::PipelineError`].
+//! [`fg::pipeline::PipelineError`].
 //!
 //! The generator is weighted toward the constructs that have historically
 //! broken robustness: deep nesting, concept/model declarations with
@@ -15,7 +15,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use fg::limits::{run_budgeted, Limits};
+use fg::pipeline::{self, Limits};
 use proptest::test_runner::TestRng;
 
 /// Per-case budget: small enough that even a generated Ω dies in
@@ -155,7 +155,7 @@ fn thousand_random_programs_never_panic_and_stay_in_budget() {
         // The error value itself is irrelevant here (and large): only
         // panic-vs-structured matters.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_budgeted(&src, CASE_LIMITS).map_err(drop)
+            pipeline::run(&src, CASE_LIMITS).map_err(drop)
         }));
         let elapsed = started.elapsed();
         match outcome {

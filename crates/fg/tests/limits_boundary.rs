@@ -10,9 +10,7 @@
 
 use std::sync::Arc;
 
-use fg::limits::{
-    compile_with_budget, run_budgeted, Budget, Limits, PipelineError, Resource,
-};
+use fg::pipeline::{self, Budget, Limits, PipelineError, Resource};
 
 /// A program that exercises every governed stage: concepts with
 /// refinement (dict nodes), a where-clause (congruence work), and a
@@ -35,7 +33,7 @@ accumulate[int](cons[int](1, cons[int](2, cons[int](3, nil[int]))))
 /// Runs the whole pipeline with `limits` against a caller-owned budget.
 fn run_with(limits: Limits) -> (Result<system_f::Value, PipelineError>, Arc<Budget>) {
     let budget = Arc::new(Budget::new(limits));
-    let out = compile_with_budget(PROGRAM, &budget)
+    let out = pipeline::compile(PROGRAM, &budget)
         .and_then(|c| system_f::eval_budgeted(&c.term, &budget).map_err(PipelineError::Eval));
     (out, budget)
 }
@@ -162,7 +160,7 @@ fn exhaustion_errors_render_with_position_and_excerpt() {
         fuel: Some(3),
         ..Limits::UNLIMITED
     }));
-    let err = compile_with_budget("iadd(40, 2)", &budget).unwrap_err();
+    let err = pipeline::compile("iadd(40, 2)", &budget).unwrap_err();
     let PipelineError::Check(check_err) = err else {
         panic!("expected a check-phase error, got {err}");
     };
@@ -180,7 +178,7 @@ fn exhaustion_errors_render_with_position_and_excerpt() {
 #[test]
 fn default_caps_pass_the_entire_paper_corpus() {
     for p in fg::corpus::ALL {
-        let v = run_budgeted(p.source, Limits::DEFAULT_CAPS)
+        let v = pipeline::run(p.source, Limits::DEFAULT_CAPS)
             .unwrap_or_else(|e| panic!("{} must pass under default caps: {e}", p.id));
         assert!(
             p.expected.matches(&v),
@@ -204,14 +202,14 @@ fn adversarial_corpus_dies_structured_under_default_caps() {
         seen += 1;
         let src = std::fs::read_to_string(&path).unwrap();
         // The default depth cap (4096) is deeper than a test thread's
-        // stack allows in debug builds; run on a big-stack worker like
-        // the CLI does, so the *budget* is what stops the program.
+        // stack allows in debug builds; run on a stack the size of a pool
+        // worker's, so the *budget* is what stops the program.
         let display = path.display().to_string();
         // Values are not `Send` (closures capture `Rc` environments), so
         // the worker reports rendered strings.
         let outcome: Result<String, String> = std::thread::Builder::new()
-            .stack_size(256 * 1024 * 1024)
-            .spawn(move || match run_budgeted(&src, Limits::DEFAULT_CAPS) {
+            .stack_size(fg::pool::WORKER_STACK)
+            .spawn(move || match pipeline::run(&src, Limits::DEFAULT_CAPS) {
                 Ok(v) => Ok(v.to_string()),
                 Err(e) => Err(e.to_string()),
             })

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use fg::limits::{compile_with_budget, Budget, Limits, PipelineError, Resource};
+use fg::pipeline::{self, Budget, Limits, PipelineError, Resource};
 use fg::rty::{subst, ConceptId, RConstraint, RTy, TyInterner};
 use fg::typeeq::TypeEq;
 use proptest::prelude::*;
@@ -322,7 +322,7 @@ fn interner_arena_growth_charges_the_cc_terms_meter() {
     "#;
     // Measure the exact footprint with no caps.
     let budget = Arc::new(Budget::new(Limits::UNLIMITED));
-    compile_with_budget(PROGRAM, &budget).expect("program compiles clean");
+    pipeline::compile(PROGRAM, &budget).expect("program compiles clean");
     let measured = budget.cc_terms();
     assert!(
         measured > 8,
@@ -333,13 +333,13 @@ fn interner_arena_growth_charges_the_cc_terms_meter() {
     let mut limits = Limits::UNLIMITED;
     limits.max_cc_terms = Some(measured);
     let budget = Arc::new(Budget::new(limits));
-    compile_with_budget(PROGRAM, &budget).expect("passes at the exact boundary");
+    pipeline::compile(PROGRAM, &budget).expect("passes at the exact boundary");
 
     // …and trip one unit below it, with the structured resource error.
     let mut limits = Limits::UNLIMITED;
     limits.max_cc_terms = Some(measured - 1);
     let budget = Arc::new(Budget::new(limits));
-    let err = compile_with_budget(PROGRAM, &budget).expect_err("trips one below");
+    let err = pipeline::compile(PROGRAM, &budget).expect_err("trips one below");
     match err {
         PipelineError::Check(e) => {
             let rendered = format!("{e}");

@@ -11,7 +11,7 @@
 //! excluded — the checker resolves each member once while the interpreter
 //! resolves per evaluation — so they legitimately differ in multiplicity.
 
-use fg::check::check_program_traced;
+use fg::check::check_program_budgeted;
 use fg::interp::run_direct_traced;
 use fg::parser::parse_expr;
 use telemetry::trace::{first_divergence, instant_sequence, Event, Tracer};
@@ -32,7 +32,7 @@ fn selection_sequence(events: &[Event]) -> Vec<Vec<String>> {
 fn lanes_agree(name: &str, src: &str) {
     let expr = parse_expr(src).unwrap_or_else(|e| panic!("{name}: parse error: {e}"));
     let check_tracer = Tracer::enabled();
-    let compiled = check_program_traced(&expr, check_tracer.clone())
+    let compiled = check_program_budgeted(&expr, check_tracer.clone(), Default::default())
         .unwrap_or_else(|e| panic!("{name}: check error: {e}"));
     let direct_tracer = Tracer::enabled();
     run_direct_traced(&compiled.elaborated, direct_tracer.clone())
@@ -72,7 +72,7 @@ fn fig6_example_file_selects_the_two_scoped_models_in_order() {
     // *different* scope entry (the lexically innermost model of each arm).
     let expr = parse_expr(&src).expect("parse fig6");
     let tracer = Tracer::enabled();
-    check_program_traced(&expr, tracer.clone()).expect("check fig6");
+    check_program_budgeted(&expr, tracer.clone(), Default::default()).expect("check fig6");
     let selections: Vec<(String, String)> = tracer
         .events()
         .iter()

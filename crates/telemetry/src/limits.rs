@@ -19,8 +19,8 @@
 //!   into their own structured error. Overshoot between polls is bounded
 //!   by one operation.
 //!
-//! All counters are atomics so one `Arc<Budget>` can be shared across
-//! the checker's big-stack worker thread and the calling thread.
+//! All counters are atomics, so one `Arc<Budget>` can be shared between
+//! threads.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
