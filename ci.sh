@@ -13,7 +13,8 @@
 #   build       release build of the whole workspace
 #   test        unit, doc, and integration tests
 #   lint        clippy -D warnings, sh -n, py_compile, README-vs---help
-#   smoke       trace/explain validation, --jobs batch, serve round trip
+#   smoke       trace/explain validation, prelude snapshot vs full check,
+#               --jobs batch, serve round trip
 #   robustness  adversarial corpus, fuzz, fault injection, grep gates
 #   bench       quick fg-bench/1 runs, schema + regression + scaling gates
 set -eu
@@ -108,6 +109,60 @@ assert pool["jobs"] >= 6, pool
 assert pool["panics"] == 0, pool
 assert any(k.startswith("worker") and k.endswith("_busy_ns") for k in pool), pool
 PYEOF
+
+    # Prelude snapshot smoke: a --prelude body must answer byte for byte
+    # like the same program spelled out with the prelude in front, both
+    # one-shot (a thread's first --prelude request is checked in full)
+    # and in a --jobs 1 batch (from its second request on, the worker
+    # checks bodies against its prelude snapshot); and a --jobs 2 batch
+    # of the bodies must print what the sequential run prints.
+    snap_dir=$(mktemp -d "$CI_TMP/prelude.XXXXXX")
+    echo 'accumulate[int](range(1, 5))' > "$snap_dir/a_sum.fg"
+    echo 'model Monoid<int> { identity_elt = 7; } in accumulate[int](range(1, 4))' > "$snap_dir/b_shadow.fg"
+    echo 'contains[list int](range(0, 5), 3)' > "$snap_dir/c_contains.fg"
+    echo 'accumulate[bool](range(1, 4))' > "$snap_dir/d_ill_typed.fg"
+    echo 'let x = in 5' > "$snap_dir/e_parse_error.fg"
+    python3 - "$snap_dir" <<'PYEOF'
+import glob, re, sys
+src = open("crates/fg/src/stdlib.rs").read()
+prelude = re.search(r'pub const PRELUDE: &str = r#"(.*?)"#;', src, re.S).group(1)
+for body in glob.glob(sys.argv[1] + "/*.fg"):
+    # fg::stdlib::with_prelude: the prelude, a newline, the body, a newline.
+    with open(body[:-len(".fg")] + ".full", "w") as out:
+        out.write(prelude + "\n" + open(body).read() + "\n")
+PYEOF
+    for body in "$snap_dir"/*.fg; do
+        for cmd in check translate run vm direct; do
+            c1=0
+            c2=0
+            "$FG" --prelude "$cmd" "$body" > "$snap_dir/snap.out" 2> "$snap_dir/snap.err" || c1=$?
+            "$FG" "$cmd" "${body%.fg}.full" > "$snap_dir/full.out" 2> "$snap_dir/full.err" || c2=$?
+            if [ "$c1" -ne "$c2" ] || ! cmp -s "$snap_dir/snap.out" "$snap_dir/full.out" \
+                || ! cmp -s "$snap_dir/snap.err" "$snap_dir/full.err"; then
+                echo "FAIL: fg --prelude $cmd $body differs from the spelled-out program"
+                exit 1
+            fi
+        done
+    done
+    for cmd in check run vm direct; do
+        c1=0
+        c2=0
+        "$FG" --prelude --jobs 1 "$cmd" "$snap_dir"/*.fg > "$snap_dir/snap.out" 2> "$snap_dir/snap.err" || c1=$?
+        "$FG" --jobs 1 "$cmd" "$snap_dir"/*.full > "$snap_dir/full.out" 2> "$snap_dir/full.err" || c2=$?
+        if [ "$c1" -ne "$c2" ] || ! cmp -s "$snap_dir/snap.out" "$snap_dir/full.out" \
+            || ! cmp -s "$snap_dir/snap.err" "$snap_dir/full.err"; then
+            echo "FAIL: fg --prelude --jobs 1 $cmd differs from the spelled-out batch"
+            exit 1
+        fi
+    done
+    c1=0
+    c2=0
+    "$FG" --prelude check "$snap_dir"/*.fg > "$snap_dir/seq.out" 2> /dev/null || c1=$?
+    "$FG" --prelude --jobs 2 check "$snap_dir"/*.fg > "$snap_dir/jobs.out" 2> /dev/null || c2=$?
+    [ "$c1" -eq 1 ] && [ "$c2" -eq 1 ] && cmp -s "$snap_dir/seq.out" "$snap_dir/jobs.out" \
+        || { echo "FAIL: --prelude --jobs 2 check differs from the sequential run"; exit 1; }
+    [ "$(wc -l < "$snap_dir/jobs.out")" -eq 3 ] \
+        || { echo "FAIL: expected 3 check lines from the prelude batch"; exit 1; }
 
     # Serve smoke: boot the daemon on an ephemeral port, check a file
     # twice over fg-rpc/1 (the repeat must be a recorded cache hit),

@@ -75,14 +75,7 @@ pub fn run_batch(cmd: &str, paths: &[String], flags: &Flags) -> u8 {
             move || -> RunOutput {
                 let source = match input {
                     Ok(s) => s,
-                    Err(msg) => {
-                        return RunOutput {
-                            code: EXIT_DIAGNOSTIC,
-                            stdout: String::new(),
-                            stderr: msg,
-                            metrics: Metrics::new(),
-                        }
-                    }
+                    Err(msg) => return RunOutput::diagnostic(msg),
                 };
                 let key = fg::pool::fnv1a(&[
                     cmd.as_bytes(),
@@ -97,11 +90,14 @@ pub fn run_batch(cmd: &str, paths: &[String], flags: &Flags) -> u8 {
                             stdout,
                             stderr,
                             metrics: Metrics::new(),
+                            exhausted: None,
                         };
                     }
                 }
                 let output = run_request(&cmd, &path, &source, use_prelude, limits, &tracer);
-                if use_cache {
+                // A deadline or injected-fault outcome depends on more
+                // than the request; replaying it would be wrong next time.
+                if use_cache && output.is_deterministic() {
                     cache.insert(key, (output.code, output.stdout.clone(), output.stderr.clone()));
                 }
                 output

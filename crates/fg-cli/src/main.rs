@@ -462,14 +462,7 @@ fn load_and_run(
 ) -> RunOutput {
     let source = match read_source(path) {
         Ok(s) => s,
-        Err(e) => {
-            return RunOutput {
-                code: EXIT_DIAGNOSTIC,
-                stdout: String::new(),
-                stderr: format!("fg: cannot read {path}: {e}\n"),
-                metrics: Metrics::new(),
-            }
-        }
+        Err(e) => return RunOutput::diagnostic(format!("fg: cannot read {path}: {e}\n")),
     };
     fg::pipeline::run_request(cmd, path, &source, use_prelude, limits, tracer)
 }

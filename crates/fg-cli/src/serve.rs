@@ -244,11 +244,16 @@ fn pipeline_response(id: i64, method: &str, source: &str, prelude: bool, daemon:
             limits,
             &tracer,
         );
-        (output.code, output.stdout, output.stderr)
+        let deterministic = output.is_deterministic();
+        (output.code, output.stdout, output.stderr, deterministic)
     });
     match outcome {
-        Ok((code, stdout, stderr)) => {
-            daemon.cache.insert(key, (code, stdout.clone(), stderr.clone()));
+        Ok((code, stdout, stderr, deterministic)) => {
+            // Only outcomes that follow from the request alone are
+            // replayable: not a deadline trip or an injected fault.
+            if deterministic {
+                daemon.cache.insert(key, (code, stdout.clone(), stderr.clone()));
+            }
             run_response(id, code, false, &stdout, &stderr)
         }
         Err(panic) => crash_response(id, &panic),

@@ -17,6 +17,10 @@ const BAD: &str = "
     (biglam u where C<u>. 0)[int]
 ";
 
+/// Ω: runs until a cap stops it, on the VM without deepening the stack,
+/// so under `--timeout-ms 1` the deadline is what stops it.
+const OMEGA: &str = "(fix f: fn(int) -> int. lam x: int. f(x))(0)";
+
 fn run_fg(args: &[&str], stdin: &str) -> (String, String, i32) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_fg"))
         .args(args)
@@ -173,6 +177,27 @@ fn jobs_batch_metrics_merge_and_count_cache_hits() {
     );
 }
 
+/// A deadline outcome is not cached: the second of two identical files
+/// that both run out of time is run again, not replayed.
+#[test]
+fn jobs_batch_does_not_cache_deadline_trips() {
+    let omega = temp_file("batch_omega.fg", OMEGA);
+    let metrics_path = format!("{}/batch_omega_metrics.json", env!("CARGO_TARGET_TMPDIR"));
+    let mut args = vec!["--jobs", "1", "--timeout-ms", "1", "--metrics-json"];
+    args.extend([metrics_path.as_str(), "vm", &omega, &omega]);
+    let (_, stderr, code) = run_fg(&args, "");
+    assert_eq!(code, 1, "{stderr}");
+    let trips = stderr.matches("deadline of 1 ms exceeded").count();
+    assert_eq!(trips, 2, "{stderr}");
+    let doc = std::fs::read_to_string(&metrics_path).expect("metrics written");
+    let json = telemetry::json::Json::parse(&doc).expect("fg-metrics/1 parses");
+    let pool = json.get("counters").and_then(|c| c.get("pool"));
+    let counter = |key: &str| pool?.get(key)?.as_i64();
+    // A deadline outcome is never replayed.
+    assert_eq!(counter("cache_hits"), Some(0));
+    assert_eq!(counter("cache_misses"), Some(2));
+}
+
 // ---------------------------------------------------------------------
 // fg serve / fg rpc
 // ---------------------------------------------------------------------
@@ -186,7 +211,14 @@ struct ServeGuard {
 
 impl ServeGuard {
     fn spawn() -> ServeGuard {
+        ServeGuard::spawn_with(&[])
+    }
+
+    /// Spawns a daemon with global `flags` (caps, `--prelude`) before
+    /// the `serve` subcommand.
+    fn spawn_with(flags: &[&str]) -> ServeGuard {
         let mut child = Command::new(env!("CARGO_BIN_EXE_fg"))
+            .args(flags)
             .args(["serve", "--addr", "127.0.0.1:0"])
             .stdin(Stdio::null())
             .stdout(Stdio::piped())
@@ -279,6 +311,30 @@ fn serve_round_trip_cache_hit_and_clean_shutdown() {
         "the hit is a recorded pool.cache_hits metric"
     );
 
+    daemon.shutdown();
+}
+
+/// A deadline trip depends on the clock, not on the request, so the
+/// daemon answers it but does not cache it: the same slow request sent
+/// again is run again.
+#[test]
+fn serve_does_not_cache_deadline_trips() {
+    let omega = temp_file("serve_omega.fg", OMEGA);
+    let daemon = ServeGuard::spawn_with(&["--timeout-ms", "1"]);
+    for attempt in 0..2 {
+        let (resp, code) = daemon.rpc("vm", Some(&omega));
+        assert_eq!(code, 1, "attempt {attempt}");
+        assert!(
+            as_str(&resp, "diagnostics").contains("deadline of 1 ms exceeded"),
+            "attempt {attempt}: {}",
+            as_str(&resp, "diagnostics")
+        );
+        assert_eq!(
+            resp.get("cached"),
+            Some(&telemetry::json::Json::Bool(false)),
+            "attempt {attempt}: a deadline outcome is never replayed"
+        );
+    }
     daemon.shutdown();
 }
 

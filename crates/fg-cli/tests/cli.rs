@@ -2,6 +2,7 @@
 
 use std::io::Write;
 use std::process::{Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const FIG5: &str = "
     concept Semigroup<t> { binary_op : fn(t, t) -> t; } in
@@ -463,4 +464,88 @@ fn adversarial_corpus_exits_with_diagnostics() {
         assert!(!stderr.trim().is_empty(), "{p}: diagnostic must be reported");
     }
     assert!(seen >= 4, "expected at least 4 adversarial examples, saw {seen}");
+}
+
+/// Runs `cmd` over `body` as the middle file of a three-file `--jobs 1`
+/// batch in a fresh process, once as a `--prelude` body and once spelled
+/// out with the prelude in front, and asserts the two runs are
+/// byte-identical (exit code included). A worker's first `--prelude`
+/// request takes the full path; whichever end its one worker starts
+/// from, the body is its second request and is checked against the
+/// prelude snapshot. The other two files stop at a parse error, so they
+/// mint no names and print nothing on stdout. Returns the body's stdout.
+fn assert_prelude_body_matches_full_program(cmd: &str, body: &str) -> String {
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    let batch = |prelude: bool| {
+        let wrap = |src: &str| {
+            if prelude {
+                src.to_owned()
+            } else {
+                fg::stdlib::with_prelude(src)
+            }
+        };
+        let paths: Vec<String> = [("a", ")"), ("b", body), ("c", "))")]
+            .iter()
+            .map(|(name, src)| {
+                let path = format!(
+                    "{}/prelude-{}-{run}-{prelude}-{name}.fg",
+                    env!("CARGO_TARGET_TMPDIR"),
+                    std::process::id()
+                );
+                std::fs::write(&path, wrap(src)).expect("write source");
+                path
+            })
+            .collect();
+        let mut args = vec!["--jobs", "1", cmd];
+        if prelude {
+            args.insert(0, "--prelude");
+        }
+        args.extend(paths.iter().map(String::as_str));
+        run_fg_code(&args, "")
+    };
+    let snapshot = batch(true);
+    assert_eq!(snapshot, batch(false), "{cmd} on body {body:?}");
+    snapshot.0
+}
+
+/// Fresh names are numbered in the order they are minted, and the
+/// snapshot mints the prelude's names in the order the full check does,
+/// so even `translate`, which prints every dictionary name, matches the
+/// spelled-out program byte for byte.
+#[test]
+fn prelude_translate_matches_the_spelled_out_program() {
+    for body in [
+        "42",
+        "accumulate[int](range(1, 4))",
+        "model Monoid<int> { identity_elt = 7; } in accumulate[int](range(1, 4))",
+        "concept Shape<t> { area : fn(t) -> int; } in \
+         model Shape<int> { area = lam x: int. imult(x, x); } in Shape<int>.area(7)",
+        "iadd(true, 1)",
+        "let x = in 5",
+        "accumulate[int](range(1, 4)) $",
+    ] {
+        assert_prelude_body_matches_full_program("translate", body);
+    }
+}
+
+/// Hygiene: a body that binds a name the prelude's translation uses for
+/// a dictionary must not capture that dictionary. The full check interns
+/// the body first, so its fresh names skip the body's binder; the
+/// snapshot minted its names before it saw the body, so such a body must
+/// take the full path.
+#[test]
+fn a_body_binding_a_prelude_dictionary_name_does_not_capture_it() {
+    let translation = assert_prelude_body_matches_full_program("translate", "42");
+    let at = translation.find("Monoid_").expect("a Monoid dictionary");
+    let digits: String = translation[at + "Monoid_".len()..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    assert!(!digits.is_empty(), "{translation}");
+    let body = format!("let Monoid_{digits} = 5 in accumulate[int](range(1, 4))");
+    for cmd in ["run", "vm", "direct"] {
+        let out = assert_prelude_body_matches_full_program(cmd, &body);
+        assert_eq!(out.trim(), "6", "{cmd}");
+    }
 }

@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use system_f::{Prim, Symbol, Term};
 use telemetry::fault::{self, FaultMode};
-use telemetry::limits::{Budget, DepthGuard, Exhausted, Resource};
+use telemetry::limits::{Budget, Consumed, DepthGuard, Exhausted, Resource};
 use telemetry::trace::{SpanId, Tracer};
 
 use crate::ast::{ConceptDecl, ConceptItem, Constraint, Expr, ExprKind, FgTy, ModelDecl, ModelItem};
@@ -153,15 +153,8 @@ pub fn check_program_budgeted(
     let mut checker = Checker::new();
     checker.set_tracer(tracer);
     checker.set_budget(budget);
-    let (ty, term, elaborated) = checker.check_elab(e)?;
-    Ok(Compiled {
-        ty,
-        term,
-        elaborated,
-        check_stats: checker.stats(),
-        type_eq_stats: checker.type_eq_stats(),
-        intern_stats: checker.intern_stats(),
-    })
+    let checked = checker.check_elab(e)?;
+    Ok(checker.compiled(checked))
 }
 
 /// Wraps a budget-exhaustion record as a spanned check error.
@@ -277,6 +270,7 @@ struct MemoHit {
 }
 
 /// A checkpoint of the checker's lexical environment.
+#[derive(Clone)]
 struct Saved {
     vars: usize,
     ty_vars: usize,
@@ -288,6 +282,7 @@ struct Saved {
 /// A declaration whose body is being checked: what
 /// [`Checker::leave_decl`] needs to take it out of scope again and to
 /// wrap the body's result.
+#[derive(Clone)]
 enum DeclFrame<'e> {
     Let {
         x: Symbol,
@@ -315,6 +310,7 @@ enum DeclFrame<'e> {
 }
 
 /// A model declaration's state between its enter and leave halves.
+#[derive(Clone)]
 struct ModelFrame {
     /// The scope to restore when the body is done.
     saved: Saved,
@@ -1759,26 +1755,63 @@ impl Checker {
     /// numbering and trace events are those of the recursive reading.
     pub fn check_elab(&mut self, e: &Expr) -> Result<(RTy, Term, Expr), CheckError> {
         let budget = self.budget.clone();
-        let mut frames: Vec<(DepthGuard<'_>, DeclFrame<'_>)> = Vec::new();
+        let mut guards = Vec::new();
+        let mut frames = Vec::new();
+        let result = self
+            .descend(&budget, e, &mut guards, &mut frames)
+            .and_then(|body| {
+                let _guard = self.enter_node(&budget, body)?;
+                self.check_elab_rec(body)
+            });
+        self.ascend(frames, result)
+    }
+
+    /// The descend half of the spine walk: runs the enter half of every
+    /// declaration on `e`'s spine, keeping one depth level and one frame
+    /// per declaration, and returns the first node that is not a
+    /// declaration — the body — without entering it.
+    fn descend<'b, 'e>(
+        &mut self,
+        budget: &'b Budget,
+        e: &'e Expr,
+        guards: &mut Vec<DepthGuard<'b>>,
+        frames: &mut Vec<DeclFrame<'e>>,
+    ) -> Result<&'e Expr, CheckError> {
         let mut cur = e;
-        let mut result = loop {
-            let guard = match self.enter_node(&budget, cur) {
-                Ok(guard) => guard,
-                Err(err) => break Err(err),
-            };
-            match self.enter_decl(cur) {
-                Ok(Some((frame, body))) => {
-                    frames.push((guard, frame));
-                    cur = body;
-                }
-                Ok(None) => break self.check_elab_rec(cur),
-                Err(err) => break Err(err),
-            }
-        };
-        while let Some((_guard, frame)) = frames.pop() {
+        while is_decl(cur) {
+            guards.push(self.enter_node(budget, cur)?);
+            let (frame, body) = self.enter_decl(cur)?;
+            frames.push(frame);
+            cur = body;
+        }
+        Ok(cur)
+    }
+
+    /// The ascend half: runs the leave half of each frame, innermost
+    /// first, around the body's result. Leave halves charge no budget,
+    /// so the depth levels the frames were entered at may be released
+    /// before or after.
+    fn ascend(
+        &mut self,
+        frames: Vec<DeclFrame<'_>>,
+        mut result: Result<(RTy, Term, Expr), CheckError>,
+    ) -> Result<(RTy, Term, Expr), CheckError> {
+        for frame in frames.into_iter().rev() {
             result = self.leave_decl(frame, result);
         }
         result
+    }
+
+    /// Packages a finished check with the checker's counters.
+    fn compiled(&self, (ty, term, elaborated): (RTy, Term, Expr)) -> Compiled {
+        Compiled {
+            ty,
+            term,
+            elaborated,
+            check_stats: self.stats(),
+            type_eq_stats: self.type_eq_stats(),
+            intern_stats: self.intern_stats(),
+        }
     }
 
     /// The per-node prologue: one unit of fuel, one level of depth, and
@@ -1809,11 +1842,9 @@ impl Checker {
 
     /// The enter half of a declaration: checks everything but the body,
     /// brings the declaration into scope, and returns the frame its leave
-    /// half needs together with the body. `None` for any other node.
-    fn enter_decl<'e>(
-        &mut self,
-        e: &'e Expr,
-    ) -> Result<Option<(DeclFrame<'e>, &'e Expr)>, CheckError> {
+    /// half needs together with the body. Only called on nodes that
+    /// [`is_decl`] accepts.
+    fn enter_decl<'e>(&mut self, e: &'e Expr) -> Result<(DeclFrame<'e>, &'e Expr), CheckError> {
         let span = e.span;
         let frame = match &e.kind {
             ExprKind::Let(x, bound, body) => {
@@ -1875,9 +1906,9 @@ impl Checker {
                     &**body,
                 )
             }
-            _ => return Ok(None),
+            _ => unreachable!("enter_decl on a node that is not a declaration"),
         };
-        Ok(Some(frame))
+        Ok(frame)
     }
 
     /// The leave half of a declaration: takes it out of scope again and
@@ -2927,6 +2958,86 @@ pub fn prim_rty(p: Prim) -> RTy {
         Prim::Car => poly(RTy::func(vec![RTy::list(tv())], tv())),
         Prim::Cdr => poly(RTy::func(vec![RTy::list(tv())], RTy::list(tv()))),
         Prim::Null => poly(RTy::func(vec![RTy::list(tv())], RTy::Bool)),
+    }
+}
+
+/// Whether `e` is a declaration whose body continues the spine:
+/// `concept`, `model`, `let` or `type`.
+fn is_decl(e: &Expr) -> bool {
+    matches!(
+        e.kind,
+        ExprKind::Let(..) | ExprKind::Concept(..) | ExprKind::Model(..) | ExprKind::TypeAlias(..)
+    )
+}
+
+/// A checker stopped at the body hole of a declaration chain: the
+/// environment the chain's declarations built, their frames (which
+/// borrow the declarations from the chain), and what building them
+/// charged. Checking a body in a [`Hole::fork`] gives what
+/// [`check_program_budgeted`] gives for the whole chain around that body.
+#[derive(Clone)]
+pub(crate) struct Hole<'e> {
+    checker: Checker,
+    frames: Vec<DeclFrame<'e>>,
+    consumed: Consumed,
+}
+
+impl<'e> Hole<'e> {
+    /// Runs the descend half over `e`'s declaration spine on a fresh
+    /// checker with an unlimited budget, and stops before the body, which
+    /// it returns unchecked.
+    pub(crate) fn build(e: &'e Expr) -> Result<(Hole<'e>, &'e Expr), CheckError> {
+        let mut checker = Checker::new();
+        let budget = Arc::new(Budget::unlimited());
+        checker.set_budget(budget.clone());
+        let mut guards = Vec::new();
+        let mut frames = Vec::new();
+        let body = checker.descend(&budget, e, &mut guards, &mut frames)?;
+        drop(guards);
+        let hole = Hole {
+            checker,
+            frames,
+            consumed: budget.consumed(),
+        };
+        Ok((hole, body))
+    }
+
+    /// The declarations around the hole: the depth levels a body is
+    /// checked under.
+    pub(crate) fn depth(&self) -> usize {
+        self.frames.len()
+    }
+
+    /// What building the hole charged its budget.
+    pub(crate) fn consumed(&self) -> Consumed {
+        self.consumed
+    }
+
+    /// A copy of the hole that charges `budget` and shares no mutable
+    /// state with this one. Checker clones share one type arena, so the
+    /// fork deep-copies it and re-points its equality engine, and the one
+    /// each model frame saved, at the copy: checking a body in the fork
+    /// leaves this hole's arena, and its `intern` counters, untouched.
+    pub(crate) fn fork(&self, budget: &Arc<Budget>) -> Hole<'e> {
+        let mut hole = self.clone();
+        let arena = self.checker.teq.interner().deep_copy();
+        hole.checker.teq.rebind(arena.clone(), budget.clone());
+        for frame in &mut hole.frames {
+            if let DeclFrame::Model { model, .. } = frame {
+                model.saved.teq.rebind(arena.clone(), budget.clone());
+            }
+        }
+        hole.checker.budget = budget.clone();
+        hole
+    }
+
+    /// Checks `body` in the hole, then runs the frames' leave halves
+    /// around it. The caller holds [`Hole::depth`] levels of the body's
+    /// budget, as the declarations' own depth guards would.
+    pub(crate) fn check_body(mut self, body: &Expr) -> Result<Compiled, CheckError> {
+        let result = self.checker.check_elab(body);
+        let checked = self.checker.ascend(self.frames, result)?;
+        Ok(self.checker.compiled(checked))
     }
 }
 

@@ -58,7 +58,7 @@
 //! | [`typeeq`] | congruence-closure type equality (§5.1) |
 //! | [`check`] | the typechecker and translation to System F (Figures 9, 13) |
 //! | [`interp`] | direct big-step interpreter (differential oracle) |
-//! | [`pipeline`] | the governed pipeline: one entry point for the CLI, `--jobs`, `fg serve` and the REPL |
+//! | [`pipeline`] | the governed pipeline: one entry point for the CLI, `--jobs`, `fg serve` and the REPL; checks `--prelude` bodies against a per-thread prelude snapshot |
 //! | [`pool`] | persistent worker pool + compile cache for `--jobs`/`fg serve` |
 //! | [`pretty`] | pretty-printer for the surface syntax |
 //! | [`stdlib`] | an STL-flavoured concept library written in F_G |

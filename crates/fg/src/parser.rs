@@ -72,11 +72,22 @@ const KEYWORDS: &[&str] = &[
 /// # Ok::<(), system_f::ParseError>(())
 /// ```
 pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
+    parse_expr_peak(src).map(|(e, _)| e)
+}
+
+/// [`parse_expr`], also returning the deepest grammar recursion the
+/// parse reached: the least `max_depth` under which
+/// [`parse_expr_budgeted`] accepts `src`.
+///
+/// # Errors
+///
+/// As [`parse_expr`].
+pub(crate) fn parse_expr_peak(src: &str) -> Result<(Expr, usize), ParseError> {
     let tokens = lex(src)?;
     let mut p = FgParser::new(tokens);
     let e = p.expr()?;
     p.expect_eof()?;
-    Ok(e)
+    Ok((e, p.peak))
 }
 
 /// [`parse_expr`] with a shared resource budget: nesting beyond the
@@ -88,6 +99,26 @@ pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
 ///
 /// As [`parse_expr`], plus [`ParseError::TooDeep`].
 pub fn parse_expr_budgeted(src: &str, budget: Arc<Budget>) -> Result<Expr, ParseError> {
+    parse_body_budgeted(src, 0, 0, budget)
+}
+
+/// Parses `src` as the body of a declaration chain that precedes it in a
+/// larger program. `offset` is the byte offset of `src` in that program
+/// and `depth` the grammar depth the chain's parse reached at its body
+/// (each declaration parses its body one level deeper). The result,
+/// errors and depth-budget trips included, is what
+/// [`parse_expr_budgeted`] gives for the whole program's body, provided
+/// the chain ends at a token boundary just before `src`.
+///
+/// # Errors
+///
+/// As [`parse_expr_budgeted`], with spans in whole-program offsets.
+pub(crate) fn parse_body_budgeted(
+    src: &str,
+    offset: usize,
+    depth: usize,
+    budget: Arc<Budget>,
+) -> Result<Expr, ParseError> {
     if let Some(mode) = telemetry::fault::hit("parse") {
         match mode {
             telemetry::fault::FaultMode::Error => {
@@ -100,9 +131,13 @@ pub fn parse_expr_budgeted(src: &str, budget: Arc<Budget>) -> Result<Expr, Parse
             telemetry::fault::FaultMode::Panic => panic!("injected fault panic at parse"),
         }
     }
-    let tokens = lex(src)?;
+    let mut tokens = lex(src).map_err(|e| e.offset_by(offset))?;
+    for t in &mut tokens {
+        t.span = Span::new(t.span.start + offset, t.span.end + offset);
+    }
     let mut p = FgParser::new(tokens);
     p.set_budget(budget);
+    p.depth = depth;
     let e = p.expr()?;
     p.expect_eof()?;
     Ok(e)
@@ -125,6 +160,8 @@ struct FgParser {
     tokens: Vec<Token>,
     pos: usize,
     depth: usize,
+    /// The deepest `depth` reached.
+    peak: usize,
     depth_limit: usize,
     budget: Option<Arc<Budget>>,
 }
@@ -135,6 +172,7 @@ impl FgParser {
             tokens,
             pos: 0,
             depth: 0,
+            peak: 0,
             depth_limit: PARSE_DEPTH_FALLBACK,
             budget: None,
         }
@@ -154,6 +192,7 @@ impl FgParser {
     /// Enters one level of grammar recursion; pair with `ascend`.
     fn descend(&mut self) -> Result<(), ParseError> {
         self.depth += 1;
+        self.peak = self.peak.max(self.depth);
         if self.depth > self.depth_limit {
             let limit = self.depth_limit as u64;
             if let Some(b) = &self.budget {

@@ -47,6 +47,7 @@ use telemetry::trace::Tracer;
 use telemetry::Metrics;
 
 pub mod explain;
+mod snapshot;
 
 /// A failure in any stage of the governed pipeline, tagged by phase.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,6 +147,35 @@ pub struct RunOutput {
     pub stderr: String,
     /// The request's phase timings and counters.
     pub metrics: Metrics,
+    /// The budget cap that tripped, if one did.
+    pub exhausted: Option<Exhausted>,
+}
+
+impl RunOutput {
+    /// A request that failed before the pipeline ran (say, an unreadable
+    /// file): exit [`EXIT_DIAGNOSTIC`] with `stderr` as its only output.
+    pub fn diagnostic(stderr: String) -> RunOutput {
+        RunOutput {
+            code: EXIT_DIAGNOSTIC,
+            stdout: String::new(),
+            stderr,
+            metrics: Metrics::new(),
+            exhausted: None,
+        }
+    }
+
+    /// Whether the outcome follows from the request alone, so that a
+    /// compile cache may replay it: not when the wall-clock deadline or
+    /// an injected fault cut it short.
+    pub fn is_deterministic(&self) -> bool {
+        !matches!(
+            self.exhausted,
+            Some(Exhausted {
+                resource: Resource::WallClock | Resource::Injected,
+                ..
+            })
+        )
+    }
 }
 
 /// A cached request outcome: exit code plus the buffered streams. The
@@ -157,6 +187,10 @@ pub type CachedRun = (u8, String, String);
 /// `elaborate`, `explain`, `vm`, `bytecode`, `fmt` or `ast`) under a
 /// fresh budget, emitting telemetry on success *and* failure paths.
 /// Shared by the sequential driver, the `--jobs` pool, and `fg serve`.
+///
+/// With `use_prelude`, `source` is the body of [`crate::stdlib::PRELUDE`].
+/// When the output cannot tell the difference, only the body is parsed
+/// and checked, against this thread's prelude snapshot (DESIGN.md §13).
 pub fn run_request(
     cmd: &str,
     path: &str,
@@ -176,24 +210,35 @@ pub fn run_request(
     };
     let mut out = String::new();
     let mut err = String::new();
-    let status = stages(cmd, path, &full, &budget, tracer, &mut metrics, &mut out, &mut err);
+    let mut run = |front: Option<&snapshot::PreludeSnapshot>| {
+        stages(cmd, path, &full, front, &budget, tracer, &mut metrics, &mut out, &mut err)
+    };
+    let status = if use_prelude && snapshot::eligible(cmd, source, tracer) {
+        snapshot::with_snapshot(|snap| run(snap.filter(|s| s.admits(&limits))))
+    } else {
+        run(None)
+    };
     record_limits(&mut metrics, &budget, tracer);
     RunOutput {
         code: status.err().unwrap_or(0),
         stdout: out,
         stderr: err,
         metrics,
+        exhausted: budget.exhausted(),
     }
 }
 
 /// The command pipeline proper: everything from parse to output. All
 /// output goes into the `out`/`err` buffers so the caller decides where
-/// it lands (terminal, batch slot, RPC response, cache entry).
+/// it lands (terminal, batch slot, RPC response, cache entry). With a
+/// `snapshot`, `full` is a prelude program and only its body is parsed
+/// and checked.
 #[allow(clippy::too_many_arguments)]
 fn stages(
     cmd: &str,
     path: &str,
     full: &str,
+    snapshot: Option<&snapshot::PreludeSnapshot>,
     budget: &Arc<Budget>,
     tracer: &Tracer,
     metrics: &mut Metrics,
@@ -201,7 +246,10 @@ fn stages(
     err: &mut String,
 ) -> Result<(), u8> {
     let sp = tracer.begin("parse", vec![("source", path.into())]);
-    let parsed = metrics.phase("parse", || parse_expr_budgeted(full, budget.clone()));
+    let parsed = metrics.phase("parse", || match snapshot {
+        Some(snap) => snap.parse_body(full, budget),
+        None => parse_expr_budgeted(full, budget.clone()),
+    });
     tracer.end(sp);
     let expr = match parsed {
         Ok(e) => e,
@@ -220,8 +268,9 @@ fn stages(
         return Ok(());
     }
     let sp = tracer.begin("check", vec![("source", path.into())]);
-    let checked = metrics.phase("check_translate", || {
-        check_program_budgeted(&expr, tracer.clone(), budget.clone())
+    let checked = metrics.phase("check_translate", || match snapshot {
+        Some(snap) => snap.check_body(&expr, budget),
+        None => check_program_budgeted(&expr, tracer.clone(), budget.clone()),
     });
     tracer.end(sp);
     let compiled = match checked {

@@ -389,7 +389,7 @@ pub struct InternStats {
     pub arena_constraints: u64,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct Store {
     nodes: Vec<TyNode>,
     meta: Vec<TyMeta>,
@@ -847,6 +847,13 @@ impl TyInterner {
     /// Returns `true` if the two interners share one arena.
     pub fn same_arena(&self, other: &TyInterner) -> bool {
         Rc::ptr_eq(&self.0, &other.0)
+    }
+
+    /// A new arena holding a copy of this one's nodes, caches, counters
+    /// and budget: every `TyId` means the same type in both, and neither
+    /// sees what is interned into the other afterwards.
+    pub(crate) fn deep_copy(&self) -> TyInterner {
+        TyInterner(Rc::new(RefCell::new(self.0.borrow().clone())))
     }
 
     /// Interns a type, returning its canonical handle.

@@ -220,6 +220,17 @@ impl TypeEq {
         self.tracer = tracer;
     }
 
+    /// Moves this engine onto `interner`, a deep copy of its arena (see
+    /// [`TyInterner::deep_copy`]), charging `budget` from now on.
+    pub(crate) fn rebind(
+        &mut self,
+        interner: TyInterner,
+        budget: std::sync::Arc<telemetry::limits::Budget>,
+    ) {
+        self.interner = interner;
+        self.set_budget(budget);
+    }
+
     /// A shared handle to this engine's type interner (clones share the
     /// arena). The checker uses the same arena so `TyId`s line up.
     pub fn interner(&self) -> TyInterner {

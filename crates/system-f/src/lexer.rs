@@ -150,6 +150,25 @@ pub enum LexError {
     },
 }
 
+impl LexError {
+    /// The same error with its position shifted by `offset` bytes: for
+    /// text lexed apart from the program it sits in.
+    pub fn offset_by(self, offset: usize) -> LexError {
+        match self {
+            LexError::UnexpectedChar { ch, at } => LexError::UnexpectedChar {
+                ch,
+                at: at + offset,
+            },
+            LexError::IntOverflow { span } => LexError::IntOverflow {
+                span: Span::new(span.start + offset, span.end + offset),
+            },
+            LexError::UnterminatedComment { at } => {
+                LexError::UnterminatedComment { at: at + offset }
+            }
+        }
+    }
+}
+
 impl fmt::Display for LexError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -7,6 +7,7 @@
 //! `&'static str` without lifetime plumbing. A language-implementation
 //! process interns a bounded set of names, so the leak is bounded too.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -39,8 +40,15 @@ struct Interner {
 /// How many distinct `fresh` symbols are created before recycling begins.
 /// A single compilation never comes close, so uniqueness-within-a-program
 /// is preserved; across independent compilations reuse is harmless (every
-/// generated name is bound locally in its own output).
+/// generated name is bound locally in its own output). Names minted under
+/// [`Symbol::keep_fresh`] are not counted and never recycled.
 const FRESH_POOL: usize = 1 << 20;
+
+thread_local! {
+    /// Whether [`Symbol::fresh`] on this thread keeps what it mints out
+    /// of recycling (inside [`Symbol::keep_fresh`]).
+    static KEEP_FRESH: Cell<bool> = const { Cell::new(false) };
+}
 
 fn interner() -> &'static Mutex<Interner> {
     static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
@@ -73,12 +81,13 @@ impl Symbol {
     /// capture-avoiding renaming.
     pub fn fresh(base: &str) -> Symbol {
         static COUNTER: AtomicU32 = AtomicU32::new(0);
+        let keep = KEEP_FRESH.get();
         loop {
             let n = COUNTER.fetch_add(1, Ordering::Relaxed);
             let mut int = interner().lock().expect("interner poisoned");
             // Once the pool is full, recycle earlier fresh symbols instead
             // of growing the interner forever.
-            if int.recycled.len() >= FRESH_POOL {
+            if !keep && int.recycled.len() >= FRESH_POOL {
                 return int.recycled[n as usize % FRESH_POOL];
             }
             let candidate = format!("{base}_{n}");
@@ -89,9 +98,27 @@ impl Symbol {
             let sym = Symbol(u32::try_from(int.names.len()).expect("interner overflow"));
             int.names.push(leaked);
             int.by_name.insert(leaked, sym);
-            int.recycled.push(sym);
+            if !keep {
+                int.recycled.push(sym);
+            }
             return sym;
         }
+    }
+
+    /// Runs `f` on this thread with every name [`Symbol::fresh`] mints
+    /// kept out of recycling: a recycled name is never one of them. For
+    /// names that outlive a compilation, such as those a checker state
+    /// kept for reuse has bound; later compilations may then run past the
+    /// pool without rebinding them.
+    pub fn keep_fresh<R>(f: impl FnOnce() -> R) -> R {
+        struct Restore(bool);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                KEEP_FRESH.set(self.0);
+            }
+        }
+        let _restore = Restore(KEEP_FRESH.replace(true));
+        f()
     }
 
     /// The interned string.
@@ -159,6 +186,20 @@ mod tests {
         let b = Symbol::fresh("clash");
         assert_ne!(b, next_guess);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn kept_names_stay_out_of_the_recycling_pool() {
+        let kept = Symbol::keep_fresh(|| {
+            let inner = Symbol::keep_fresh(|| Symbol::fresh("kept"));
+            assert!(KEEP_FRESH.get(), "a nested call restores the outer state");
+            [inner, Symbol::fresh("kept")]
+        });
+        assert!(!KEEP_FRESH.get());
+        let recycled = Symbol::fresh("pooled");
+        let int = interner().lock().unwrap();
+        assert!(kept.iter().all(|s| !int.recycled.contains(s)));
+        assert!(int.recycled.contains(&recycled));
     }
 
     #[test]

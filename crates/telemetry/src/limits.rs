@@ -152,6 +152,34 @@ impl Limits {
     }
 }
 
+impl Limits {
+    /// Whether these caps let a run consume `c` without tripping: each
+    /// meter trips only on a charge that takes it past its cap, so a
+    /// consumption exactly at a cap is admitted.
+    pub fn admits(&self, c: &Consumed) -> bool {
+        let within = |cap: Option<u64>, used: u64| cap.is_none_or(|cap| used <= cap);
+        within(self.fuel, c.fuel)
+            && within(self.max_depth, c.depth_peak)
+            && within(self.max_cc_terms, c.cc_terms)
+            && within(self.max_dict_nodes, c.dict_nodes)
+    }
+}
+
+/// What a run charged to a [`Budget`]: the deterministic meters, without
+/// the wall clock. Recorded with [`Budget::consumed`] and charged to
+/// another budget with [`Budget::replay`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Consumed {
+    /// Fuel spent.
+    pub fuel: u64,
+    /// Congruence nodes created.
+    pub cc_terms: u64,
+    /// Dictionary-plan nodes created.
+    pub dict_nodes: u64,
+    /// The deepest recursion reached.
+    pub depth_peak: u64,
+}
+
 /// How often (in fuel charges) the deadline is re-checked; `Instant::now`
 /// is too expensive to call per AST node.
 const DEADLINE_POLL_MASK: u64 = 0x3FF;
@@ -294,7 +322,62 @@ impl Budget {
             }
         }
         self.depth_peak.fetch_max(d, Ordering::Relaxed);
-        Ok(DepthGuard(self))
+        Ok(DepthGuard {
+            budget: self,
+            levels: 1,
+        })
+    }
+
+    /// Charges `c`, work recorded on another budget, as if it had been
+    /// done here, and enters `depth` levels of recursion at once (the
+    /// returned guard leaves all of them on drop). One bulk charge per
+    /// meter and one deadline poll: callers first check
+    /// [`Limits::admits`], so no cap trips part-way; an inadmissible
+    /// replay latches the first cap it overruns.
+    pub fn replay(&self, c: &Consumed, depth: u64) -> Result<DepthGuard<'_>, Exhausted> {
+        self.ok()?;
+        let meters = [
+            (&self.fuel_spent, c.fuel, self.limits.fuel, Resource::Fuel),
+            (
+                &self.cc_terms,
+                c.cc_terms,
+                self.limits.max_cc_terms,
+                Resource::CcTerms,
+            ),
+            (
+                &self.dict_nodes,
+                c.dict_nodes,
+                self.limits.max_dict_nodes,
+                Resource::DictNodes,
+            ),
+        ];
+        for (meter, n, cap, resource) in meters {
+            let used = meter.fetch_add(n, Ordering::Relaxed) + n;
+            if let Some(limit) = cap.filter(|&limit| used > limit) {
+                return Err(self.trip(resource, limit));
+            }
+        }
+        if let Some(limit) = self.limits.max_depth.filter(|&limit| c.depth_peak > limit) {
+            return Err(self.trip(Resource::Depth, limit));
+        }
+        self.check_deadline()?;
+        let d = self.depth.fetch_add(depth, Ordering::Relaxed) + depth;
+        self.depth_peak
+            .fetch_max(d.max(c.depth_peak), Ordering::Relaxed);
+        Ok(DepthGuard {
+            budget: self,
+            levels: depth,
+        })
+    }
+
+    /// The deterministic meters' readings so far.
+    pub fn consumed(&self) -> Consumed {
+        Consumed {
+            fuel: self.fuel_spent(),
+            cc_terms: self.cc_terms(),
+            dict_nodes: self.dict_nodes(),
+            depth_peak: self.depth_peak(),
+        }
     }
 
     /// Fuel spent so far.
@@ -323,14 +406,18 @@ impl Budget {
     }
 }
 
-/// RAII guard from [`Budget::enter`]: decrements the depth on drop, so
-/// early returns and `?` propagation keep the counter balanced.
+/// RAII guard from [`Budget::enter`] (one level) or [`Budget::replay`]:
+/// decrements the depth on drop, so early returns and `?` propagation
+/// keep the counter balanced.
 #[derive(Debug)]
-pub struct DepthGuard<'a>(&'a Budget);
+pub struct DepthGuard<'a> {
+    budget: &'a Budget,
+    levels: u64,
+}
 
 impl Drop for DepthGuard<'_> {
     fn drop(&mut self) {
-        self.0.depth.fetch_sub(1, Ordering::Relaxed);
+        self.budget.depth.fetch_sub(self.levels, Ordering::Relaxed);
     }
 }
 
@@ -404,6 +491,47 @@ mod tests {
         }
         assert_eq!(b.depth.load(Ordering::Relaxed), 0);
         assert_eq!(b.depth_peak(), 2);
+    }
+
+    #[test]
+    fn replay_matches_charging_one_by_one() {
+        let limits = Limits {
+            fuel: Some(100),
+            max_depth: Some(8),
+            max_cc_terms: Some(10),
+            max_dict_nodes: Some(3),
+            timeout_ms: None,
+        };
+        let recorded = Budget::unlimited();
+        {
+            let _outer = recorded.enter().unwrap();
+            let _inner = recorded.enter().unwrap();
+            recorded.charge_fuel(40).unwrap();
+            for _ in 0..10 {
+                recorded.charge_cc_term().unwrap();
+            }
+            recorded.charge_dict_node().unwrap();
+        }
+        let c = recorded.consumed();
+        assert!(limits.admits(&c));
+        let b = Budget::new(limits);
+        {
+            let _guard = b.replay(&c, 1).unwrap();
+            assert_eq!(b.depth.load(Ordering::Relaxed), 1);
+            assert_eq!(b.consumed(), c);
+            // The cc meter sits exactly at its cap: the next node trips.
+            assert_eq!(b.charge_cc_term().unwrap_err().resource, Resource::CcTerms);
+        }
+        assert_eq!(b.depth.load(Ordering::Relaxed), 0);
+        let tight = Limits {
+            max_depth: Some(1),
+            ..limits
+        };
+        assert!(!tight.admits(&c));
+        assert_eq!(
+            Budget::new(tight).replay(&c, 0).unwrap_err().resource,
+            Resource::Depth
+        );
     }
 
     #[test]
