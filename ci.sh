@@ -144,7 +144,7 @@ PYEOF
             fi
         done
     done
-    for cmd in check run vm direct; do
+    for cmd in check translate run vm direct elaborate; do
         c1=0
         c2=0
         "$FG" --prelude --jobs 1 "$cmd" "$snap_dir"/*.fg > "$snap_dir/snap.out" 2> "$snap_dir/snap.err" || c1=$?
@@ -164,6 +164,16 @@ PYEOF
     [ "$(wc -l < "$snap_dir/jobs.out")" -eq 3 ] \
         || { echo "FAIL: expected 3 check lines from the prelude batch"; exit 1; }
 
+    # Generated names belong to one compilation: a --jobs 2 batch of the
+    # examples translates each file exactly as a one-shot run does.
+    : > "$CI_TMP/one-shot.out"
+    for f in examples/*.fg; do
+        "$FG" translate "$f" >> "$CI_TMP/one-shot.out"
+    done
+    "$FG" --jobs 2 translate examples/*.fg > "$CI_TMP/batch.out"
+    cmp -s "$CI_TMP/one-shot.out" "$CI_TMP/batch.out" \
+        || { echo "FAIL: --jobs 2 translate differs from the one-shot runs"; exit 1; }
+
     # Serve smoke: boot the daemon on an ephemeral port, check a file
     # twice over fg-rpc/1 (the repeat must be a recorded cache hit),
     # confirm the hit in `stats`, and shut down cleanly (exit 0).
@@ -179,9 +189,15 @@ PYEOF
     "$FG" rpc --addr "$addr" check examples/fig5_accumulate.fg > "$CI_TMP/rpc1.json"
     "$FG" rpc --addr "$addr" check examples/fig5_accumulate.fg > "$CI_TMP/rpc2.json"
     "$FG" rpc --addr "$addr" stats > "$CI_TMP/rpc-stats.json"
-    python3 - "$CI_TMP/rpc1.json" "$CI_TMP/rpc2.json" "$CI_TMP/rpc-stats.json" <<'PYEOF'
+    # After those requests, a translation over the wire must still read
+    # exactly as a fresh `fg translate` prints it.
+    "$FG" rpc --addr "$addr" translate examples/fig5_accumulate.fg > "$CI_TMP/rpc-translate.json"
+    "$FG" translate examples/fig5_accumulate.fg > "$CI_TMP/translate.out"
+    python3 - "$CI_TMP/rpc1.json" "$CI_TMP/rpc2.json" "$CI_TMP/rpc-stats.json" \
+        "$CI_TMP/rpc-translate.json" "$CI_TMP/translate.out" <<'PYEOF'
 import json, sys
-first, second, stats = (json.load(open(p)) for p in sys.argv[1:4])
+first, second, stats, translated = (json.load(open(p)) for p in sys.argv[1:5])
+assert translated["ok"] and translated["output"] == open(sys.argv[5]).read(), translated
 for r in (first, second):
     assert r["v"] == "fg-rpc/1" and r["ok"] and r["exit"] == 0, r
     assert r["output"].strip() == "int", r

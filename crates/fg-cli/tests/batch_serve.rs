@@ -198,6 +198,73 @@ fn jobs_batch_does_not_cache_deadline_trips() {
     assert_eq!(counter("cache_misses"), Some(2));
 }
 
+/// The top-level `examples/*.fg` programs, in name order.
+fn examples() -> Vec<String> {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples");
+    let mut files: Vec<String> = std::fs::read_dir(dir)
+        .expect("read examples")
+        .map(|entry| entry.expect("examples entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "fg"))
+        .map(|path| path.display().to_string())
+        .collect();
+    files.sort();
+    assert!(files.len() >= 2, "a batch needs two files: {files:?}");
+    files
+}
+
+/// Prelude bodies that declare models, so their translations name
+/// dictionaries of their own after the prelude's.
+const MODEL_BODIES: [&str; 3] = [
+    "model Monoid<int> { identity_elt = 7; } in accumulate[int](range(1, 4))",
+    "model Semigroup<int> { binary_op = imult; } in \
+     model Monoid<int> { identity_elt = 1; } in accumulate[int](range(1, 5))",
+    "model LessThanComparable<int> { less = lam a: int, b: int. ilt(b, a); } in \
+     min_element[list int](cons[int](4, cons[int](2, nil[int])))",
+];
+
+/// Asserts that `fg <flags> --jobs <n> <cmd> files…` prints, for every
+/// `n`, exactly what `fg <flags> <cmd> file` prints for each file in
+/// turn: generated names do not depend on what a worker compiled before.
+fn assert_batches_print_one_shot_output(flags: &[&str], files: &[String]) {
+    for cmd in ["translate", "elaborate", "explain"] {
+        let mut one_shot = (String::new(), String::new());
+        for file in files {
+            let args: Vec<&str> = flags.iter().copied().chain([cmd, file.as_str()]).collect();
+            let (stdout, stderr, code) = run_fg(&args, "");
+            assert_eq!(code, 0, "{args:?}: {stderr}");
+            one_shot.0 += &stdout;
+            one_shot.1 += &stderr;
+        }
+        for jobs in ["1", "2"] {
+            let mut args: Vec<&str> = flags.to_vec();
+            args.extend(["--jobs", jobs, cmd]);
+            args.extend(files.iter().map(String::as_str));
+            let (stdout, stderr, code) = run_fg(&args, "");
+            assert_eq!(code, 0, "{args:?}: {stderr}");
+            assert_eq!((stdout, stderr), one_shot, "{args:?}");
+        }
+    }
+}
+
+/// A batch of the examples prints each file's one-shot output.
+#[test]
+fn jobs_batches_print_each_examples_one_shot_output() {
+    assert_batches_print_one_shot_output(&[], &examples());
+}
+
+/// A `--prelude` batch prints each body's one-shot output. With one
+/// worker, the second body is the request that builds the prelude
+/// snapshot and the third is checked against it.
+#[test]
+fn prelude_batches_print_each_bodys_one_shot_output() {
+    let files: Vec<String> = MODEL_BODIES
+        .iter()
+        .enumerate()
+        .map(|(i, body)| temp_file(&format!("batch_model_body_{i}.fg"), body))
+        .collect();
+    assert_batches_print_one_shot_output(&["--prelude"], &files);
+}
+
 // ---------------------------------------------------------------------
 // fg serve / fg rpc
 // ---------------------------------------------------------------------
@@ -383,6 +450,24 @@ fn serve_cache_invalidates_when_fig6_is_edited() {
     );
     assert_eq!(as_str(&resp, "output"), "3002\n", "the new outcome is served");
 
+    daemon.shutdown();
+}
+
+/// What the daemon answers does not depend on what it compiled before:
+/// translating Figure 5 after running Figure 6 sends what a fresh
+/// `fg translate` prints.
+#[test]
+fn serve_translates_like_a_fresh_fg_after_other_requests() {
+    let fig5 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/fig5_accumulate.fg");
+    let fig6 = temp_file("serve_names_fig6.fg", fg::corpus::FIG6_OVERLAPPING.source);
+    let (fresh, stderr, code) = run_fg(&["translate", fig5], "");
+    assert_eq!(code, 0, "{stderr}");
+    let daemon = ServeGuard::spawn();
+    let (resp, code) = daemon.rpc("run", Some(&fig6));
+    assert_eq!((code, as_str(&resp, "output")), (0, "302\n"));
+    let (resp, code) = daemon.rpc("translate", Some(fig5));
+    assert_eq!(code, 0);
+    assert_eq!(as_str(&resp, "output"), fresh);
     daemon.shutdown();
 }
 

@@ -509,10 +509,10 @@ fn assert_prelude_body_matches_full_program(cmd: &str, body: &str) -> String {
     snapshot.0
 }
 
-/// Fresh names are numbered in the order they are minted, and the
-/// snapshot mints the prelude's names in the order the full check does,
-/// so even `translate`, which prints every dictionary name, matches the
-/// spelled-out program byte for byte.
+/// Generated names are numbered per compilation, and the snapshot mints
+/// the prelude's names in the order the full check does, from the same
+/// floor, so even `translate`, which prints every dictionary name,
+/// matches the spelled-out program byte for byte.
 #[test]
 fn prelude_translate_matches_the_spelled_out_program() {
     for body in [
@@ -530,10 +530,10 @@ fn prelude_translate_matches_the_spelled_out_program() {
 }
 
 /// Hygiene: a body that binds a name the prelude's translation uses for
-/// a dictionary must not capture that dictionary. The full check interns
-/// the body first, so its fresh names skip the body's binder; the
-/// snapshot minted its names before it saw the body, so such a body must
-/// take the full path.
+/// a dictionary must not capture that dictionary. The full check numbers
+/// its generated names above the body's binder (the binder raises the
+/// program's floor); the snapshot numbered its names before it saw the
+/// body, so such a body must take the full path.
 #[test]
 fn a_body_binding_a_prelude_dictionary_name_does_not_capture_it() {
     let translation = assert_prelude_body_matches_full_program("translate", "42");

@@ -474,6 +474,153 @@ pub fn rename_ty_vars_expr(
     Expr::spanned(kind, e.span)
 }
 
+/// Every identifier `e` spells, in no particular order and with
+/// repeats: binders, references, concept, member and associated-type
+/// names, in expressions and types alike. The checker's name supply
+/// starts above all of them (see [`system_f::Names`]). The walk keeps
+/// its own stack, so a long declaration spine costs no recursion.
+pub(crate) fn identifiers(e: &Expr) -> Vec<Symbol> {
+    fn ty(t: &FgTy, out: &mut Vec<Symbol>) {
+        match t {
+            FgTy::Var(v) => out.push(*v),
+            FgTy::Int | FgTy::Bool => {}
+            FgTy::List(t) => ty(t, out),
+            FgTy::Fn(ps, r) => {
+                ps.iter().for_each(|p| ty(p, out));
+                ty(r, out);
+            }
+            FgTy::Forall {
+                vars,
+                constraints,
+                body,
+            } => {
+                out.extend(vars);
+                constraints.iter().for_each(|c| constraint(c, out));
+                ty(body, out);
+            }
+            FgTy::Assoc {
+                concept,
+                args,
+                name,
+            } => {
+                out.extend([concept, name]);
+                args.iter().for_each(|a| ty(a, out));
+            }
+        }
+    }
+    fn constraint(c: &Constraint, out: &mut Vec<Symbol>) {
+        match c {
+            Constraint::Model { concept, args } => {
+                out.push(*concept);
+                args.iter().for_each(|a| ty(a, out));
+            }
+            Constraint::SameTy(a, b) => {
+                ty(a, out);
+                ty(b, out);
+            }
+        }
+    }
+    let mut out = Vec::new();
+    let mut stack = vec![e];
+    while let Some(e) = stack.pop() {
+        match &e.kind {
+            ExprKind::Var(x) => out.push(*x),
+            ExprKind::IntLit(_) | ExprKind::BoolLit(_) | ExprKind::Prim(_) => {}
+            ExprKind::App(f, args) => {
+                stack.push(f);
+                stack.extend(args);
+            }
+            ExprKind::Lam(params, body) => {
+                for (x, t) in params {
+                    out.push(*x);
+                    ty(t, &mut out);
+                }
+                stack.push(body);
+            }
+            ExprKind::TyAbs {
+                vars,
+                constraints,
+                body,
+            } => {
+                out.extend(vars);
+                constraints.iter().for_each(|c| constraint(c, &mut out));
+                stack.push(body);
+            }
+            ExprKind::TyApp(f, tys) => {
+                tys.iter().for_each(|t| ty(t, &mut out));
+                stack.push(f);
+            }
+            ExprKind::Let(x, bound, body) => {
+                out.push(*x);
+                stack.extend([&**bound, &**body]);
+            }
+            ExprKind::If(c, t, f) => stack.extend([&**c, &**t, &**f]),
+            ExprKind::Fix(x, t, body) => {
+                out.push(*x);
+                ty(t, &mut out);
+                stack.push(body);
+            }
+            ExprKind::Concept(decl, body) => {
+                out.push(decl.name);
+                out.extend(&decl.params);
+                for item in &decl.items {
+                    match item {
+                        ConceptItem::AssocTypes(names) => out.extend(names),
+                        ConceptItem::Refines { concept, args }
+                        | ConceptItem::Requires { concept, args } => {
+                            out.push(*concept);
+                            args.iter().for_each(|a| ty(a, &mut out));
+                        }
+                        ConceptItem::Member { name, ty: t, default } => {
+                            out.push(*name);
+                            ty(t, &mut out);
+                            stack.extend(default);
+                        }
+                        ConceptItem::Same(a, b) => {
+                            ty(a, &mut out);
+                            ty(b, &mut out);
+                        }
+                    }
+                }
+                stack.push(body);
+            }
+            ExprKind::Model(decl, body) => {
+                out.extend(&decl.params);
+                out.push(decl.concept);
+                decl.constraints.iter().for_each(|c| constraint(c, &mut out));
+                decl.args.iter().for_each(|a| ty(a, &mut out));
+                for item in &decl.items {
+                    match item {
+                        ModelItem::AssocType(n, t) => {
+                            out.push(*n);
+                            ty(t, &mut out);
+                        }
+                        ModelItem::Member(n, e) => {
+                            out.push(*n);
+                            stack.push(e);
+                        }
+                    }
+                }
+                stack.push(body);
+            }
+            ExprKind::TypeAlias(name, t, body) => {
+                out.push(*name);
+                ty(t, &mut out);
+                stack.push(body);
+            }
+            ExprKind::MemberAccess {
+                concept,
+                args,
+                member,
+            } => {
+                out.extend([concept, member]);
+                args.iter().for_each(|a| ty(a, &mut out));
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,6 +648,26 @@ mod tests {
         let mut m = std::collections::HashMap::new();
         m.insert(Symbol::intern(from), Symbol::intern(to));
         m
+    }
+
+    #[test]
+    fn identifiers_reach_every_name() {
+        let e = crate::parser::parse_expr(
+            "concept C_1<t_2> { types s_3; op_4 : fn(t_2) -> C_1<t_2>.s_3; } in
+             model forall u_5 where C_1<u_5>. C_1<list u_5> { types s_3 = int; op_4 = lam x_6: list u_5. 0; } in
+             type a_7 = int in
+             let f_8 = biglam v_9 where C_1<v_9>. fix g_10: fn(v_9) -> int. lam y: v_9. C_1<v_9>.op_4(y) in
+             if true then f_8[int] else h_11",
+        )
+        .unwrap();
+        let mut found: Vec<&str> = identifiers(&e).iter().map(|s| s.as_str()).collect();
+        found.sort_unstable();
+        found.dedup();
+        let mut want = vec![
+            "C_1", "t_2", "s_3", "op_4", "u_5", "x_6", "a_7", "f_8", "v_9", "g_10", "y", "h_11",
+        ];
+        want.sort_unstable();
+        assert_eq!(found, want);
     }
 
     #[test]

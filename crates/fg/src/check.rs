@@ -27,12 +27,14 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use system_f::{Prim, Symbol, Term};
+use system_f::{Names, Prim, Symbol, Term};
 use telemetry::fault::{self, FaultMode};
 use telemetry::limits::{Budget, Consumed, DepthGuard, Exhausted, Resource};
 use telemetry::trace::{SpanId, Tracer};
 
-use crate::ast::{ConceptDecl, ConceptItem, Constraint, Expr, ExprKind, FgTy, ModelDecl, ModelItem};
+use crate::ast::{
+    identifiers, ConceptDecl, ConceptItem, Constraint, Expr, ExprKind, FgTy, ModelDecl, ModelItem,
+};
 use crate::concepts::{ConceptInfo, ConceptTable, MemberSig};
 use crate::error::{CheckError, ErrorKind};
 use crate::rty::{subst, ConceptId, InternStats, RConstraint, RTy, TyId};
@@ -150,7 +152,7 @@ pub fn check_program_budgeted(
     tracer: Tracer,
     budget: Arc<Budget>,
 ) -> Result<Compiled, CheckError> {
-    let mut checker = Checker::new();
+    let mut checker = Checker::for_program(e)?;
     checker.set_tracer(tracer);
     checker.set_budget(budget);
     let checked = checker.check_elab(e)?;
@@ -404,12 +406,27 @@ pub struct Checker {
     /// once set). Charged per expression node, congruence node, and
     /// dictionary-plan node.
     budget: Arc<Budget>,
+    /// The translation's generated names: dictionaries, where-clause
+    /// binders, renamed concept parameters and member locals. Never
+    /// rolled back by [`Checker::restore`], so no two are equal.
+    names: Names,
 }
 
 impl Checker {
     /// Creates a checker with an empty environment.
     pub fn new() -> Checker {
         Checker::default()
+    }
+
+    /// A checker for the program `e`: its generated names all lie above
+    /// the identifiers `e` spells.
+    fn for_program(e: &Expr) -> Result<Checker, CheckError> {
+        let names = Names::above(identifiers(e))
+            .map_err(|ident| CheckError::new(ErrorKind::SuffixTooLarge(ident), e.span))?;
+        Ok(Checker {
+            names,
+            ..Checker::default()
+        })
     }
 
     /// Attaches a trace sink; the type-equality engine shares it (union
@@ -898,7 +915,7 @@ impl Checker {
         self.budget.ok().map_err(|x| exhausted_err(x, "check", span))?;
         let mut assoc_binders = Vec::with_capacity(plan.assoc_slots.len());
         for slot in &plan.assoc_slots {
-            let fresh = Symbol::fresh(slot.name.as_str());
+            let fresh = self.names.fresh(slot.name);
             self.ty_vars.push((fresh, None));
             assoc_binders.push(fresh);
             let proj = RTy::Assoc {
@@ -919,7 +936,7 @@ impl Checker {
         let mut dict_names = Vec::with_capacity(plan.dicts.len());
         let mut dict_tys = Vec::with_capacity(plan.dicts.len());
         for dict in &plan.dicts {
-            let name = Symbol::fresh(dict.concept_name.as_str());
+            let name = self.names.fresh(dict.concept_name);
             if register_models {
                 self.register_proxy(dict, name, Vec::new(), span);
             }
@@ -2583,7 +2600,7 @@ impl Checker {
         }
         distinct(&decl.params, span)?;
         let parameterized = !decl.params.is_empty();
-        let dict_name = Symbol::fresh(decl.concept.as_str());
+        let dict_name = self.names.fresh(decl.concept);
 
         // Check the declaration inside its own scope: for a parameterized
         // model the parameters are in scope and the declaration's where
@@ -2750,14 +2767,14 @@ impl Checker {
                     // body accordingly.
                     let mut rename: HashMap<Symbol, Symbol> = HashMap::new();
                     for (p, a) in info.params.iter().zip(&args) {
-                        let fresh = Symbol::fresh(p.as_str());
+                        let fresh = self.names.fresh(*p);
                         rename.insert(*p, fresh);
                         self.ty_vars.push((fresh, None));
                         self.teq.ban_representative(fresh);
                         self.teq.assert_eq(&RTy::Var(fresh), a);
                     }
                     for (n, t) in &assoc {
-                        let fresh = Symbol::fresh(n.as_str());
+                        let fresh = self.names.fresh(*n);
                         rename.insert(*n, fresh);
                         self.ty_vars.push((fresh, None));
                         self.teq.ban_representative(fresh);
@@ -2802,7 +2819,7 @@ impl Checker {
                         span,
                     );
                 }
-                let local = Symbol::fresh(m.name.as_str());
+                let local = self.names.fresh(m.name);
                 locals.push((m.name, local));
                 bindings.push((local, term));
             }
@@ -2987,7 +3004,7 @@ impl<'e> Hole<'e> {
     /// checker with an unlimited budget, and stops before the body, which
     /// it returns unchecked.
     pub(crate) fn build(e: &'e Expr) -> Result<(Hole<'e>, &'e Expr), CheckError> {
-        let mut checker = Checker::new();
+        let mut checker = Checker::for_program(e)?;
         let budget = Arc::new(Budget::unlimited());
         checker.set_budget(budget.clone());
         let mut guards = Vec::new();

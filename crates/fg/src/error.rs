@@ -214,6 +214,10 @@ pub enum ErrorKind {
         /// The undeterminable parameter.
         param: Symbol,
     },
+    /// An identifier `…_N` whose `N` is above
+    /// [`system_f::Names::MAX_SUFFIX`]: no generated name can lie above
+    /// it.
+    SuffixTooLarge(Symbol),
     /// A configured resource budget (fuel, recursion depth, congruence
     /// nodes, dictionary nodes, or wall clock) was exhausted in some
     /// pipeline phase: an expected, recoverable outcome of running with
@@ -264,6 +268,11 @@ impl fmt::Display for ErrorKind {
                 write!(f, "fix body has type `{found}`, annotation says `{annotated}`")
             }
             ErrorKind::DuplicateBinder(x) => write!(f, "duplicate binder `{x}`"),
+            ErrorKind::SuffixTooLarge(x) => write!(
+                f,
+                "identifier `{x}` ends in a number above {}",
+                system_f::Names::MAX_SUFFIX
+            ),
             ErrorKind::DuplicateConceptItem(x) => {
                 write!(f, "duplicate name `{x}` in concept declaration")
             }

@@ -11,7 +11,7 @@
 use std::cell::{Cell, OnceCell};
 use std::sync::{Arc, OnceLock};
 
-use system_f::{ParseError, Symbol};
+use system_f::ParseError;
 use telemetry::limits::{Budget, Limits};
 use telemetry::trace::Tracer;
 
@@ -41,13 +41,10 @@ fn parsed_prelude() -> &'static (Expr, usize) {
 }
 
 impl PreludeSnapshot {
-    /// Checks the prelude up to its hole. The names it mints stay bound
-    /// for the thread's life, so they are kept out of the fresh-name
-    /// pool's recycling: no body checked later can be handed one.
+    /// Checks the prelude up to its hole.
     fn build() -> PreludeSnapshot {
         let (expr, parse_peak) = parsed_prelude();
-        let (hole, body) =
-            Symbol::keep_fresh(|| Hole::build(expr)).expect("the prelude checks");
+        let (hole, body) = Hole::build(expr).expect("the prelude checks");
         assert_eq!(body.span.start, BODY_OFFSET, "the prelude ends in its hole");
         PreludeSnapshot {
             hole,
@@ -102,17 +99,17 @@ pub(super) fn eligible(cmd: &str, body: &str, tracer: &Tracer) -> bool {
     !tracer.is_enabled()
         && !telemetry::fault::armed()
         && !matches!(cmd, "ast" | "fmt" | "explain")
-        && !may_name_fresh(body)
+        && !may_raise_floor(body)
 }
 
-/// Whether `body` could mention a `base_N` name that `Symbol::fresh`
-/// mints: any `_` followed by a digit counts. The full path interns the
-/// body before it mints anything, so fresh names skip the body's
-/// identifiers; the snapshot minted the prelude's names first, and a
-/// body binder with one of them would capture the prelude's dictionary.
-/// (Names the body's own check mints cannot be the snapshot's: those
-/// are never recycled, see [`PreludeSnapshot::build`].)
-fn may_name_fresh(body: &str) -> bool {
+/// Whether `body` could spell an identifier `…_N`: any `_` followed by
+/// a digit counts. Such an identifier raises the full path's floor (see
+/// [`system_f::Names`]), so the full check would number every generated
+/// name, the prelude's included, from above it; the snapshot numbered
+/// the prelude's names from the prelude's own floor, 0. The body could
+/// then also bind one of the snapshot's names and capture a prelude
+/// dictionary.
+fn may_raise_floor(body: &str) -> bool {
     body.as_bytes()
         .windows(2)
         .any(|w| w[0] == b'_' && w[1].is_ascii_digit())

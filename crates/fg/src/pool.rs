@@ -307,9 +307,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// FNV-1a over a sequence of byte strings, with a `0xff` separator
 /// folded in between parts so `("ab","c")` and `("a","bc")` hash
-/// differently. Offline, dependency-free, and plenty for a compile
-/// cache: a collision only ever *reuses a diagnostic*, it cannot
-/// corrupt checker state.
+/// differently. Offline and dependency-free, but not collision-proof:
+/// [`CompileCache`] matches on this hash alone, so two request keys
+/// that collide share one entry, and a hit replays the other request's
+/// whole outcome (exit code, stdout and stderr). It cannot corrupt
+/// checker state. FNV collisions are easy to construct on purpose.
 pub fn fnv1a(parts: &[&[u8]]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;

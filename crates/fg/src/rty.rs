@@ -198,6 +198,13 @@ impl RTy {
 }
 
 /// Simultaneous capture-avoiding substitution of type variables.
+///
+/// A `forall` with no free variable in the map's domain is returned as
+/// it is. Otherwise a binder that would capture a free variable of the
+/// range is renamed (see [`Symbol::renamed_avoiding`]) to a name that is
+/// not free in the range or the body, not a substituted variable and not
+/// a sibling binder. [`TyInterner`]'s memoized substitution follows the
+/// same rules, so the two build the same type.
 pub fn subst(ty: &RTy, map: &HashMap<Symbol, RTy>) -> RTy {
     if map.is_empty() {
         return ty.clone();
@@ -215,6 +222,10 @@ pub fn subst(ty: &RTy, map: &HashMap<Symbol, RTy>) -> RTy {
             constraints,
             body,
         } => {
+            let free = ty.free_vars();
+            if !free.iter().any(|v| map.contains_key(v)) {
+                return ty.clone();
+            }
             let mut inner: HashMap<Symbol, RTy> = map
                 .iter()
                 .filter(|(k, _)| !vars.contains(k))
@@ -228,10 +239,16 @@ pub fn subst(ty: &RTy, map: &HashMap<Symbol, RTy>) -> RTy {
                     }
                 }
             }
-            let mut new_vars = Vec::with_capacity(vars.len());
+            let mut new_vars: Vec<Symbol> = Vec::with_capacity(vars.len());
             for &v in vars {
                 if range_fvs.contains(&v) {
-                    let fresh = Symbol::fresh(v.as_str());
+                    let fresh = v.renamed_avoiding(|s| {
+                        range_fvs.contains(&s)
+                            || free.contains(&s)
+                            || map.contains_key(&s)
+                            || vars.contains(&s)
+                            || new_vars.contains(&s)
+                    });
                     inner.insert(v, RTy::Var(fresh));
                     new_vars.push(fresh);
                 } else {
@@ -734,9 +751,10 @@ impl Store {
                 constraints,
                 body,
             } => {
-                // The same capture-avoiding discipline as the tree-walking
-                // `subst`: drop shadowed keys, then rename any binder that
-                // collides with a free variable of the (restricted) range.
+                // The same capture-avoiding discipline, and the same
+                // renames, as the tree-walking `subst`: drop shadowed keys,
+                // then rename any binder that collides with a free
+                // variable of the (restricted) range.
                 let mut inner: Vec<(Symbol, TyId)> = self.substs[sid.0 as usize]
                     .iter()
                     .filter(|(k, _)| !vars.contains(k))
@@ -750,10 +768,18 @@ impl Store {
                         }
                     }
                 }
-                let mut new_vars = Vec::with_capacity(vars.len());
+                let mut new_vars: Vec<Symbol> = Vec::with_capacity(vars.len());
                 for &v in vars.iter() {
                     if range_fvs.contains(&v) {
-                        let fresh = Symbol::fresh(v.as_str());
+                        let free = &self.meta[id.index()].free_vars;
+                        let domain = &self.substs[sid.0 as usize];
+                        let fresh = v.renamed_avoiding(|s| {
+                            range_fvs.contains(&s)
+                                || free.contains(&s)
+                                || domain.binary_search_by_key(&s, |&(k, _)| k).is_ok()
+                                || vars.contains(&s)
+                                || new_vars.contains(&s)
+                        });
                         let fresh_id = self.mk(TyNode::Var(fresh));
                         inner.push((v, fresh_id));
                         new_vars.push(fresh);
@@ -913,8 +939,8 @@ impl TyInterner {
     }
 
     /// Capture-avoiding substitution over handles, memoized per
-    /// `(TyId, SubstId)` pair. Agrees with the tree-walking [`subst`] up
-    /// to alpha-renaming of `Forall` binders (fresh names differ).
+    /// `(TyId, SubstId)` pair. Builds exactly the type the tree-walking
+    /// [`subst`] builds, renamed binders included.
     pub fn subst(&self, id: TyId, sid: SubstId) -> TyId {
         self.0.borrow_mut().subst(id, sid)
     }
@@ -1118,6 +1144,27 @@ mod tests {
     }
 
     #[test]
+    fn subst_rename_skips_names_free_in_the_body() {
+        // [b ↦ a](forall a. fn(a, a_0) -> b): the first candidate, `a_0`,
+        // is free in the body, so the binder becomes `a_1`, through the
+        // interner too.
+        let t = RTy::Forall {
+            vars: vec![s("a")],
+            constraints: vec![],
+            body: Box::new(RTy::func(vec![v("a"), v("a_0")], v("b"))),
+        };
+        let mut map = HashMap::new();
+        map.insert(s("b"), v("a"));
+        let want = RTy::Forall {
+            vars: vec![s("a_1")],
+            constraints: vec![],
+            body: Box::new(RTy::func(vec![v("a_1"), v("a_0")], v("a"))),
+        };
+        assert_eq!(subst(&t, &map), want);
+        assert_eq!(TyInterner::new().subst_rty(&t, &map), want);
+    }
+
+    #[test]
     fn subst_preserves_head_constructors() {
         // Negative space of the capture test: substitution never changes
         // what kind of type it was given, even when renaming binders.
@@ -1258,8 +1305,8 @@ mod tests {
         map.insert(s("t"), RTy::func(vec![RTy::Int], v("u")));
         assert_eq!(it.subst_rty(&t, &map), subst(&t, &map));
 
-        // The capturing case renames the binder (fresh names differ from
-        // the tree walk's, so compare shapes, not symbols).
+        // The capturing case renames the binder, to the name the tree
+        // walk picks.
         let t = RTy::Forall {
             vars: vec![s("a")],
             constraints: vec![],
@@ -1278,6 +1325,7 @@ mod tests {
         assert_eq!(ps[0], RTy::Var(vars[0]));
         assert_eq!(**ret, v("a"));
         assert_eq!(r.free_vars(), vec![s("a")]);
+        assert_eq!(r, subst(&t, &map));
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! same exit code, stdout, stderr, and `check`, `congruence`, `intern`
 //! and `limits` counters.
 //!
-//! Fresh names are process-global, so two in-process calls translate to
-//! differently numbered dictionaries; `translate` is compared across
-//! fresh processes in the CLI tests instead.
+//! Generated names belong to one compilation, so `translate` is compared
+//! in-process too, however many requests a worker has answered before.
 
 use std::sync::Mutex;
 
@@ -21,8 +20,24 @@ use telemetry::trace::Tracer;
 /// so the tests in this file run one at a time.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// The commands whose output does not print fresh names.
-const COMMANDS: [&str; 6] = ["check", "run", "vm", "direct", "elaborate", "bytecode"];
+/// The commands that work on the checked program (`explain`, `ast` and
+/// `fmt` always take the full path).
+const COMMANDS: [&str; 7] = ["check", "translate", "run", "vm", "direct", "elaborate", "bytecode"];
+
+/// Bodies that declare models of their own (whose dictionaries get
+/// generated names) and then use prelude dictionaries. A name of the
+/// body's that repeated one of the snapshot's would capture the prelude
+/// dictionary the body goes on to use.
+const MODEL_BODIES: &[&str] = &[
+    "model Monoid<int> { identity_elt = 7; } in Semigroup<int>.binary_op(2, 3)",
+    "model Monoid<int> { identity_elt = 7; } in EqualityComparable<int>.equal(1, 1)",
+    "model Monoid<int> { identity_elt = 7; } in accumulate[int](range(1, 4))",
+    "model Semigroup<int> { binary_op = imult; } in \
+     model Monoid<int> { identity_elt = 1; } in \
+     iadd(accumulate[int](range(1, 5)), Group<int>.inverse(3))",
+    "model LessThanComparable<int> { less = lam a: int, b: int. ilt(b, a); } in \
+     min_element[list int](cons[int](4, cons[int](2, nil[int])))",
+];
 
 /// The bodies of the prelude's own unit tests.
 const STDLIB_BODIES: &[&str] = &[
@@ -123,18 +138,28 @@ fn assert_same(pool: &WorkerPool, cmd: &str, body: &str, limits: Limits) {
     assert_eq!(counters(&snap), counters(&full), "counters: {what}");
 }
 
-/// Whether `limits` put requests on the snapshot path: the snapshot
-/// reuses the prelude's dictionary names, so translating `0` on one
-/// thread prints the same text each time; the full path mints new names
-/// every time. A thread's first `--prelude` request always takes the
-/// full path, so this translates three times and compares the last two;
-/// the requests a test makes on `pool` after it can use the snapshot.
+/// Whether `limits` put requests on the snapshot path. Outputs and
+/// counters cannot tell the paths apart, but the parse phase's time can:
+/// the snapshot path parses the body alone, the full path the whole
+/// prelude as well, hundreds of times as much text. Each side takes its
+/// fastest of five runs. A thread's first `--prelude` request always
+/// takes the full path, so the requests a test makes on `pool` after
+/// this one can use the snapshot.
 fn takes_snapshot(pool: &WorkerPool, limits: Limits) -> bool {
     on_worker(pool, move || {
-        let translate = || run_request("translate", "<t>", "0", true, limits, &Tracer::disabled());
-        let (_, b, c) = (translate(), translate(), translate());
-        assert_eq!(b.code, 0, "{}", b.stderr);
-        b.stdout == c.stdout
+        let parse_ns = |source: &str, use_prelude: bool| {
+            (0..5)
+                .map(|_| {
+                    let out = run_request("check", "<t>", source, use_prelude, limits, &Tracer::disabled());
+                    assert_eq!(out.code, 0, "{}", out.stderr);
+                    out.metrics.phase_ns("parse").expect("the parse phase is timed")
+                })
+                .min()
+                .expect("five runs")
+        };
+        let body = parse_ns("0", true);
+        let full = parse_ns(&with_prelude("0"), false);
+        body.saturating_mul(10) < full
     })
 }
 
@@ -169,6 +194,42 @@ fn snapshot_matches_full_check_on_stdlib_corpus_and_edge_bodies() {
     {
         for cmd in COMMANDS {
             assert_same(&pool, cmd, body, Limits::DEFAULT_CAPS);
+        }
+    }
+}
+
+/// A body prints the same as its worker's 1st request (the full path),
+/// 2nd (the one that builds the snapshot) and 50th (after 47 requests
+/// whose bodies declare models too), and the same as the full path on
+/// the spelled-out program.
+#[test]
+fn model_declaring_bodies_print_the_same_as_the_1st_2nd_and_50th_request() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    for (i, body) in MODEL_BODIES.iter().enumerate() {
+        for cmd in COMMANDS {
+            let pool = WorkerPool::new(1).unwrap();
+            let request = |body: &str, use_prelude: bool| {
+                let (c, b) = (cmd.to_owned(), body.to_owned());
+                on_worker(&pool, move || {
+                    run_request(&c, "<t>", &b, use_prelude, Limits::DEFAULT_CAPS, &Tracer::disabled())
+                })
+            };
+            let first = request(body, true);
+            let second = request(body, true);
+            for k in 3..50 {
+                request(MODEL_BODIES[(i + k) % MODEL_BODIES.len()], true);
+            }
+            let fiftieth = request(body, true);
+            let full = request(&with_prelude(body), false);
+            assert_eq!(full.code, 0, "{cmd} on body {body:?}: {}", full.stderr);
+            for (nth, out) in [("1st", first), ("2nd", second), ("50th", fiftieth)] {
+                assert_eq!(
+                    (out.code, &out.stdout, &out.stderr),
+                    (full.code, &full.stdout, &full.stderr),
+                    "{cmd} on body {body:?} as the worker's {nth} request"
+                );
+                assert_eq!(counters(&out), counters(&full), "{cmd} on {body:?}, {nth}");
+            }
         }
     }
 }

@@ -57,5 +57,5 @@ pub mod types;
 pub use ast::{Prim, Term, Ty};
 pub use eval::{apply, eval, eval_budgeted, eval_in, Env, EvalError, VList, VListIter, Value};
 pub use parser::{parse_term, parse_term_budgeted, parse_ty, ParseError};
-pub use symbol::Symbol;
+pub use symbol::{Names, Symbol};
 pub use typeck::{typecheck, typecheck_open, TypeError};

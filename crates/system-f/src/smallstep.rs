@@ -13,11 +13,11 @@
 //! The big-step evaluator in [`crate::eval`] is the fast path; this one is
 //! the specification. A differential property test asserts they agree.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use telemetry::limits::{Budget, Exhausted};
 
-use crate::types::subst as subst_ty_map;
+use crate::types::{free_ty_vars_into, subst as subst_ty_map};
 use crate::{Prim, Symbol, Term, Ty};
 
 /// Returns `true` if `t` is a value: literals, primitives, abstractions,
@@ -126,11 +126,15 @@ fn go(t: &Term, x: Symbol, v: &Term, v_fvs: &[Symbol]) -> Term {
             // Rename any parameter that would capture a free variable of v.
             let mut params = params.clone();
             let mut body = (**body).clone();
-            for (y, _) in params.iter_mut().map(|p| (&mut p.0, ())) {
-                if v_fvs.contains(y) {
-                    let fresh = Symbol::fresh(y.as_str());
-                    body = subst_term(&body, *y, &Term::Var(fresh));
-                    *y = fresh;
+            for i in 0..params.len() {
+                let y = params[i].0;
+                if v_fvs.contains(&y) {
+                    let body_fvs = free_vars(&body);
+                    let fresh = y.renamed_avoiding(|s| {
+                        avoid(s, x, v_fvs, &body_fvs) || params.iter().any(|(p, _)| *p == s)
+                    });
+                    body = subst_term(&body, y, &Term::Var(fresh));
+                    params[i].0 = fresh;
                 }
             }
             Term::Lam(params, Box::new(go(&body, x, v, v_fvs)))
@@ -142,7 +146,8 @@ fn go(t: &Term, x: Symbol, v: &Term, v_fvs: &[Symbol]) -> Term {
             if *y == x {
                 Term::Let(*y, Box::new(e1), e2.clone())
             } else if v_fvs.contains(y) {
-                let fresh = Symbol::fresh(y.as_str());
+                let e2_fvs = free_vars(e2);
+                let fresh = y.renamed_avoiding(|s| avoid(s, x, v_fvs, &e2_fvs));
                 let e2r = subst_term(e2, *y, &Term::Var(fresh));
                 Term::Let(fresh, Box::new(e1), Box::new(go(&e2r, x, v, v_fvs)))
             } else {
@@ -162,7 +167,8 @@ fn go(t: &Term, x: Symbol, v: &Term, v_fvs: &[Symbol]) -> Term {
             if *y == x {
                 t.clone()
             } else if v_fvs.contains(y) {
-                let fresh = Symbol::fresh(y.as_str());
+                let body_fvs = free_vars(body);
+                let fresh = y.renamed_avoiding(|s| avoid(s, x, v_fvs, &body_fvs));
                 let bodyr = subst_term(body, *y, &Term::Var(fresh));
                 Term::Fix(fresh, ty.clone(), Box::new(go(&bodyr, x, v, v_fvs)))
             } else {
@@ -170,6 +176,67 @@ fn go(t: &Term, x: Symbol, v: &Term, v_fvs: &[Symbol]) -> Term {
             }
         }
     }
+}
+
+/// Whether a binder renamed in `[x ↦ v]` must avoid `s`: the substituted
+/// variable, or a name free in `v` or in the binder's scope.
+fn avoid(s: Symbol, x: Symbol, v_fvs: &[Symbol], scope_fvs: &[Symbol]) -> bool {
+    s == x || v_fvs.contains(&s) || scope_fvs.contains(&s)
+}
+
+/// The type variables free in the annotations of `t`.
+fn free_ty_vars_in_term(t: &Term) -> HashSet<Symbol> {
+    fn go(t: &Term, bound: &mut Vec<Symbol>, out: &mut HashSet<Symbol>) {
+        match t {
+            Term::Var(_) | Term::IntLit(_) | Term::BoolLit(_) | Term::Prim(_) => {}
+            Term::App(f, args) => {
+                go(f, bound, out);
+                for a in args {
+                    go(a, bound, out);
+                }
+            }
+            Term::Lam(params, body) => {
+                for (_, ty) in params {
+                    free_ty_vars_into(ty, bound, out);
+                }
+                go(body, bound, out);
+            }
+            Term::TyAbs(vars, body) => {
+                let n = bound.len();
+                bound.extend_from_slice(vars);
+                go(body, bound, out);
+                bound.truncate(n);
+            }
+            Term::TyApp(f, tys) => {
+                go(f, bound, out);
+                for ty in tys {
+                    free_ty_vars_into(ty, bound, out);
+                }
+            }
+            Term::Let(_, e1, e2) => {
+                go(e1, bound, out);
+                go(e2, bound, out);
+            }
+            Term::Tuple(items) => {
+                for i in items {
+                    go(i, bound, out);
+                }
+            }
+            Term::Nth(e, _) => go(e, bound, out),
+            Term::If(c, a, b) => {
+                go(c, bound, out);
+                go(a, bound, out);
+                go(b, bound, out);
+            }
+            Term::Fix(_, ty, body) => {
+                free_ty_vars_into(ty, bound, out);
+                go(body, bound, out);
+            }
+        }
+    }
+    let mut out = HashSet::new();
+    go(t, &mut Vec::new(), &mut out);
+    out
 }
 
 /// Capture-avoiding substitution of types for type variables throughout a
@@ -207,10 +274,17 @@ pub fn subst_ty_in_term(t: &Term, map: &HashMap<Symbol, Ty>) -> Term {
                     }
                 }
             }
-            let mut new_vars = Vec::with_capacity(vars.len());
+            let mut new_vars: Vec<Symbol> = Vec::with_capacity(vars.len());
             for &v in vars {
                 if range_fvs.contains(&v) {
-                    let fresh = Symbol::fresh(v.as_str());
+                    let body_ftvs = free_ty_vars_in_term(body);
+                    let fresh = v.renamed_avoiding(|s| {
+                        range_fvs.contains(&s)
+                            || body_ftvs.contains(&s)
+                            || map.contains_key(&s)
+                            || vars.contains(&s)
+                            || new_vars.contains(&s)
+                    });
                     inner.insert(v, Ty::Var(fresh));
                     new_vars.push(fresh);
                 } else {
@@ -551,6 +625,17 @@ mod tests {
         // The binder x must have been renamed: the free x of arg survives.
         let fvs = free_vars(&out);
         assert!(fvs.contains(&crate::Symbol::intern("x")), "{out}");
+    }
+
+    #[test]
+    fn capture_avoiding_rename_skips_names_free_in_the_body() {
+        // The first candidate for renaming `a`, `a_0`, is free in the
+        // body, so the binder becomes `a_1`.
+        let body = parse_term("lam a: int. f(a, a_0)").unwrap();
+        let arg = parse_term("lam y: int. a").unwrap();
+        let out = subst_term(&body, crate::Symbol::intern("f"), &arg);
+        let want = parse_term("lam a_1: int. (lam y: int. a)(a_1, a_0)").unwrap();
+        assert_eq!(out, want);
     }
 
     #[test]

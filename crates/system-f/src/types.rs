@@ -43,9 +43,10 @@ pub fn free_ty_vars(ty: &Ty) -> HashSet<Symbol> {
 
 /// Simultaneous capture-avoiding substitution `[t̄ ↦ σ̄]τ`.
 ///
-/// Binders in `forall` are renamed with fresh symbols whenever they would
-/// capture a free variable of the substituted types or collide with a
-/// substitution domain variable.
+/// A `forall` binder that would capture a free variable of the
+/// substituted types is renamed (see [`Symbol::renamed_avoiding`]) to a
+/// name that is not free in the range or the body, not a substituted
+/// variable and not a sibling binder.
 pub fn subst(ty: &Ty, map: &HashMap<Symbol, Ty>) -> Ty {
     if map.is_empty() {
         return ty.clone();
@@ -70,10 +71,17 @@ pub fn subst(ty: &Ty, map: &HashMap<Symbol, Ty>) -> Ty {
             for v in inner.values() {
                 range_fvs.extend(free_ty_vars(v));
             }
-            let mut new_vars = Vec::with_capacity(vars.len());
+            let mut new_vars: Vec<Symbol> = Vec::with_capacity(vars.len());
             for &v in vars {
                 if range_fvs.contains(&v) {
-                    let fresh = Symbol::fresh(v.as_str());
+                    let free = free_ty_vars(ty);
+                    let fresh = v.renamed_avoiding(|s| {
+                        range_fvs.contains(&s)
+                            || free.contains(&s)
+                            || map.contains_key(&s)
+                            || vars.contains(&s)
+                            || new_vars.contains(&s)
+                    });
                     inner.insert(v, Ty::Var(fresh));
                     new_vars.push(fresh);
                 } else {
@@ -186,6 +194,16 @@ mod tests {
         // It should be alpha-equal to forall c. fn(c) -> a.
         let good = Ty::forall(vec![s("c")], Ty::func(vec![v("c")], v("a")));
         assert!(alpha_eq(&r, &good));
+    }
+
+    #[test]
+    fn subst_rename_skips_names_free_in_the_body() {
+        // [b ↦ a](forall a. fn(a, a_0) -> b): the first candidate, `a_0`,
+        // is free in the body, so the binder becomes `a_1`.
+        let t = Ty::forall(vec![s("a")], Ty::func(vec![v("a"), v("a_0")], v("b")));
+        let r = subst_one(&t, s("b"), &v("a"));
+        let want = Ty::forall(vec![s("a_1")], Ty::func(vec![v("a_1"), v("a_0")], v("a")));
+        assert_eq!(r, want);
     }
 
     #[test]
